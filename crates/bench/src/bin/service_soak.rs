@@ -21,7 +21,7 @@
 
 use std::time::Instant;
 
-use goldilocks_bench::runner::{arg_value, die, percentile_us, write_result};
+use goldilocks_bench::runner::{arg_value, crash_drill, die, percentile_us, write_result};
 use goldilocks_cluster::Wal;
 use goldilocks_core::ServiceConfig;
 use goldilocks_service::{PlacementDaemon, Priority, Request, Response};
@@ -54,7 +54,6 @@ struct BurstStats {
 
 struct CrashStats {
     crash_points: usize,
-    byte_identical: bool,
     recovery_mean_ms: f64,
     recovery_full_ms: f64,
 }
@@ -214,6 +213,8 @@ fn run_burst() -> BurstStats {
     }
 }
 
+/// Phase 3: recover from every record boundary of the reference journal,
+/// then from the whole log, timed on its own.
 fn run_crash_drill(reference_wal: &[u8]) -> CrashStats {
     let boundaries = Wal::record_ends(reference_wal);
     if boundaries.len() < 30 {
@@ -222,44 +223,17 @@ fn run_crash_drill(reference_wal: &[u8]) -> CrashStats {
             boundaries.len()
         ));
     }
-    let cfg = service_cfg();
-    let mut byte_identical = true;
-    let mut total_s = 0.0f64;
-    for &cut in &boundaries {
-        let prefix = &reference_wal[..cut];
-        let t = Instant::now();
-        match PlacementDaemon::recover(cfg.clone(), tree(), prefix) {
-            Ok((d, _)) => {
-                total_s += t.elapsed().as_secs_f64();
-                // Recovery may roll an open epoch forward (appending), but
-                // it must stay on the reference timeline: the recovered
-                // journal is a byte-exact prefix of the uninterrupted one.
-                if !reference_wal.starts_with(d.wal_bytes()) {
-                    byte_identical = false;
-                }
-            }
-            Err(e) => die(&format!("recovery at boundary {cut} failed: {e}")),
-        }
-    }
-    if !byte_identical {
-        die("a crash-restart diverged from the reference journal");
-    }
-
-    let t = Instant::now();
-    match PlacementDaemon::recover(cfg, tree(), reference_wal) {
-        Ok((d, _)) => {
-            let recovery_full_ms = t.elapsed().as_secs_f64() * 1_000.0;
-            if d.wal_bytes() != reference_wal {
-                die("full-log recovery rewrote the journal");
-            }
-            CrashStats {
-                crash_points: boundaries.len(),
-                byte_identical,
-                recovery_mean_ms: total_s * 1_000.0 / boundaries.len() as f64,
-                recovery_full_ms,
-            }
-        }
-        Err(e) => die(&format!("full-log recovery failed: {e}")),
+    let cuts: Vec<usize> = boundaries
+        .iter()
+        .copied()
+        .chain([reference_wal.len()])
+        .collect();
+    let secs = crash_drill(&service_cfg(), &tree(), reference_wal, &cuts);
+    let (full_s, boundary_s) = secs.split_last().unwrap_or((&0.0, &[]));
+    CrashStats {
+        crash_points: boundaries.len(),
+        recovery_mean_ms: boundary_s.iter().sum::<f64>() * 1_000.0 / boundaries.len() as f64,
+        recovery_full_ms: full_s * 1_000.0,
     }
 }
 
@@ -273,7 +247,7 @@ fn to_json(epochs: usize, soak: &SoakStats, burst: &BurstStats, crash: &CrashSta
          \"arrivals\": {},\n    \"high_priority_accepted\": {},\n    \
          \"explicit_sheds\": {},\n    \"queue_bound\": {},\n    \"queue_depth_max\": {},\n    \
          \"admit_p99_us\": {:.2}\n  }},\n  \"crash_drill\": {{\n    \"crash_points\": {},\n    \
-         \"byte_identical\": {},\n    \"recovery_mean_ms\": {:.3},\n    \
+         \"byte_identical\": true,\n    \"recovery_mean_ms\": {:.3},\n    \
          \"recovery_full_ms\": {:.3}\n  }}\n}}\n]\n",
         epochs,
         soak.arrivals,
@@ -294,7 +268,6 @@ fn to_json(epochs: usize, soak: &SoakStats, burst: &BurstStats, crash: &CrashSta
         burst.queue_depth_max,
         burst.admit_p99_us,
         crash.crash_points,
-        crash.byte_identical,
         crash.recovery_mean_ms,
         crash.recovery_full_ms,
     )

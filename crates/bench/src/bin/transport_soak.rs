@@ -26,7 +26,7 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use goldilocks_bench::runner::{arg_value, die, percentile_us, write_result};
+use goldilocks_bench::runner::{arg_value, crash_drill, die, percentile_us, write_result};
 use goldilocks_cluster::{Wal, WalEvent};
 use goldilocks_core::ServiceConfig;
 use goldilocks_rng::SplitMix64;
@@ -358,7 +358,6 @@ fn run_storm(clients: usize, calls_per_client: usize) -> (StormStats, Vec<u8>) {
 struct CrashStats {
     boundary_points: usize,
     torn_points: usize,
-    byte_identical: bool,
     recovery_mean_ms: f64,
 }
 
@@ -397,31 +396,12 @@ fn run_crash_drill(reference_wal: &[u8]) -> CrashStats {
         .map(|_| floor + 1 + rng.range(0..reference_wal.len() - floor - 1))
         .collect();
 
-    let cfg = service_cfg();
-    let mut byte_identical = true;
-    let mut total_s = 0.0f64;
-    let cuts = sampled.len() + torn.len();
-    for &cut in sampled.iter().chain(torn.iter()) {
-        let prefix = &reference_wal[..cut];
-        let t = Instant::now();
-        match PlacementDaemon::recover(cfg.clone(), tree(), prefix) {
-            Ok((d, _)) => {
-                total_s += t.elapsed().as_secs_f64();
-                if !reference_wal.starts_with(d.wal_bytes()) {
-                    byte_identical = false;
-                }
-            }
-            Err(e) => die(&format!("recovery at cut {cut} failed: {e}")),
-        }
-    }
-    if !byte_identical {
-        die("a kill -9 recovery diverged from the reference journal");
-    }
+    let cuts: Vec<usize> = sampled.iter().chain(&torn).copied().collect();
+    let secs = crash_drill(&service_cfg(), &tree(), reference_wal, &cuts);
     CrashStats {
         boundary_points: sampled.len(),
         torn_points: torn.len(),
-        byte_identical,
-        recovery_mean_ms: total_s * 1_000.0 / cuts.max(1) as f64,
+        recovery_mean_ms: secs.iter().sum::<f64>() * 1_000.0 / cuts.len().max(1) as f64,
     }
 }
 
@@ -435,7 +415,7 @@ fn to_json(qps: &QpsStats, storm: &StormStats, crash: &CrashStats) -> String {
          \"acked\": {},\n    \"reconnects\": {},\n    \"duplicate_seqs\": {},\n    \
          \"lost_accepts\": {},\n    \"wall_s\": {:.4}\n  }},\n  \
          \"kill9_drill\": {{\n    \"boundary_points\": {},\n    \"torn_points\": {},\n    \
-         \"byte_identical\": {},\n    \"recovery_mean_ms\": {:.3}\n  }}\n}}\n]\n",
+         \"byte_identical\": true,\n    \"recovery_mean_ms\": {:.3}\n  }}\n}}\n]\n",
         qps.clients,
         qps.calls,
         qps.acked,
@@ -454,7 +434,6 @@ fn to_json(qps: &QpsStats, storm: &StormStats, crash: &CrashStats) -> String {
         storm.wall_s,
         crash.boundary_points,
         crash.torn_points,
-        crash.byte_identical,
         crash.recovery_mean_ms,
     )
 }

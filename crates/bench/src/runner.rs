@@ -4,15 +4,20 @@
 //! each requested thread budget, asserts every run is byte-identical to the
 //! sequential reference (the CSV serialization of every record must match
 //! exactly), and returns one [`LineupBench`] record per budget for a
-//! hand-rolled `results/BENCH_*.json` perf file. [`write_result`] is the one
-//! way a binary writes a file under `results/`.
+//! hand-rolled `results/BENCH_*.json` perf file. [`crash_drill`] is the
+//! soak bins' one kill -9 drill, and [`write_result`] is the one way a
+//! binary writes a file under `results/`.
 
 use std::time::Instant;
 
+use goldilocks_cluster::Wal;
+use goldilocks_core::ServiceConfig;
 use goldilocks_partition::ParallelConfig;
 use goldilocks_placement::PlaceError;
+use goldilocks_service::PlacementDaemon;
 use goldilocks_sim::epoch::{run_policies_with, Policy, PolicyRun, Scenario};
 use goldilocks_sim::report::runs_to_csv;
+use goldilocks_topology::DcTree;
 
 /// One benchmark record: a scenario's lineup timed sequential vs parallel.
 #[derive(Clone, Debug)]
@@ -110,6 +115,43 @@ pub fn timed_lineup(
         });
     }
     Ok((sequential, records))
+}
+
+/// Recovers a daemon from the first `cut` bytes of `reference_wal` for
+/// each of `cuts`, as a kill -9 at that offset would leave the journal,
+/// and returns each recovery's wall time in seconds, in `cuts` order.
+///
+/// Dies unless every recovered journal is a byte-exact prefix of
+/// `reference_wal` holding every whole record of its cut: recovery may
+/// drop a torn tail and roll an open epoch forward, but never rewrites or
+/// loses journaled history. A cut at the full length must therefore
+/// recover the whole journal.
+pub fn crash_drill(
+    service: &ServiceConfig,
+    tree: &DcTree,
+    reference_wal: &[u8],
+    cuts: &[usize],
+) -> Vec<f64> {
+    let ends = Wal::record_ends(reference_wal);
+    cuts.iter()
+        .map(|&cut| {
+            let whole = ends[..ends.partition_point(|&e| e <= cut)]
+                .last()
+                .copied()
+                .unwrap_or(0);
+            let t = Instant::now();
+            let (d, _) =
+                PlacementDaemon::recover(service.clone(), tree.clone(), &reference_wal[..cut])
+                    .unwrap_or_else(|e| die(&format!("recovery at cut {cut} failed: {e}")));
+            let secs = t.elapsed().as_secs_f64();
+            if !reference_wal.starts_with(d.wal_bytes()) || d.wal_bytes().len() < whole {
+                die(&format!(
+                    "the recovery at cut {cut} diverged from the reference journal"
+                ));
+            }
+            secs
+        })
+        .collect()
 }
 
 /// Prints `msg` to stderr and exits with status 2.

@@ -62,9 +62,9 @@ pub use deadline::{epoch_commit_tick, Deadline};
 pub use dedup::{DedupExport, DedupOutcome, DedupWindow};
 pub use proto::{
     deframe, frame, Envelope, FrameAssembler, Priority, ProtoError, RejectReason, Reply, Request,
-    Response, MAX_FRAME_BYTES,
+    Response, Session, MAX_FRAME_BYTES,
 };
 pub use queue::{AdmissionQueue, PushOutcome, PushPlan, QueueEntry, TokenBucket};
 pub use server::{ServerConfig, ServerHandle, ServerStats, TcpServer};
-pub use simnet::{SimConn, SimFaultConfig, SimNet, SimNetConfig, SimStats, SimTransport};
+pub use simnet::{SimConn, SimFaultConfig, SimNet, SimStats, SimTransport};
 pub use transport::{Conn, Transport, TransportError};

@@ -590,6 +590,75 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     goldilocks_cluster::frame(payload)
 }
 
+/// The server side of one connection, and the one frame→reply loop: the
+/// TCP server, the sim fabric and
+/// [`PlacementDaemon::handle_frames`](crate::PlacementDaemon::handle_frames)
+/// all turn stream bytes into replies here.
+///
+/// [`feed`](Session::feed) reassembles frames across any chunking, hands
+/// each decoded [`Envelope`] to the caller's `submit`, and appends the
+/// framed [`Reply`] to the outbound buffer; an envelope that does not
+/// decode is answered `Malformed` without reaching `submit`. The transport
+/// drains [`outbound`](Session::outbound) as its peer takes bytes.
+#[derive(Clone, Debug, Default)]
+pub struct Session {
+    asm: FrameAssembler,
+    out: Vec<u8>,
+}
+
+impl Session {
+    /// A session with nothing buffered in either direction.
+    pub fn new() -> Self {
+        Session::default()
+    }
+
+    /// Feeds stream bytes and answers every frame they complete, returning
+    /// how many were answered. On a corrupt stream (bad checksum or
+    /// impossible length) every frame before the bad one is answered, the
+    /// reassembly buffer is reset, and `Err(ProtoError::Corrupt)` tells the
+    /// caller to flush the replies and drop the connection.
+    pub fn feed(
+        &mut self,
+        bytes: &[u8],
+        mut submit: impl FnMut(Envelope) -> Response,
+    ) -> Result<usize, ProtoError> {
+        self.asm.feed(bytes);
+        let mut answered = 0;
+        loop {
+            let payload = match self.asm.next_frame() {
+                Ok(Some(payload)) => payload,
+                Ok(None) => return Ok(answered),
+                Err(e) => {
+                    self.asm = FrameAssembler::new();
+                    return Err(e);
+                }
+            };
+            let reply = match Envelope::decode(&payload) {
+                Ok(env) => Reply {
+                    request_id: env.request_id,
+                    response: submit(env),
+                },
+                Err(_) => Reply {
+                    request_id: 0,
+                    response: Response::Malformed { tag: 0 },
+                },
+            };
+            self.out.extend_from_slice(&frame(&reply.encode()));
+            answered += 1;
+        }
+    }
+
+    /// Framed replies not yet written to the peer.
+    pub fn outbound(&mut self) -> &mut Vec<u8> {
+        &mut self.out
+    }
+
+    /// Bytes of a partial inbound frame (what an idle deadline watches).
+    pub fn pending_bytes(&self) -> usize {
+        self.asm.pending_bytes()
+    }
+}
+
 /// Scans a byte stream into intact frame payloads, tolerating a torn final
 /// frame (returned as `torn = true`). Corrupt (checksum-failed) frames
 /// terminate the scan like a torn tail — on a stream transport the

@@ -3,11 +3,13 @@
 //! ## Connection lifecycle
 //!
 //! One accept-loop thread owns the listener; each accepted connection gets
-//! a thread with its *own* [`FrameAssembler`], so a frame split across
-//! reads — the common case on a real socket — is reassembled per stream.
-//! Decoded envelopes are dispatched into the shared daemon under a mutex
+//! a thread with its own [`Session`], the one frame→reply loop every
+//! transport shares, so a frame split across reads — the common case on a
+//! real socket — is reassembled per stream. Each decoded envelope is
+//! submitted to the shared daemon under a mutex taken once per frame
 //! (admission, journal-before-ack, and the dedup window all live there),
-//! and the framed replies are written back with a bounded pending buffer.
+//! and the framed replies are written back from the session's bounded
+//! outbound buffer.
 //!
 //! Defenses, all explicit:
 //!
@@ -17,6 +19,10 @@
 //!   timeout; a connection that stays quiet for `idle_timeout_ms`
 //!   (slowloris: a torn frame held open forever) is dropped. Idle time is
 //!   counted in poll intervals, so the crate never reads a wall clock.
+//! - **Corrupt stream** — a frame with a bad checksum or an impossible
+//!   length ends the stream: every frame before it is answered and its
+//!   reply flushed, then the connection is closed and counted. The sim
+//!   fabric ([`crate::simnet`]) follows the same rule.
 //! - **Bounded write buffer** — replies a slow peer will not drain
 //!   accumulate up to `write_buffer_cap` bytes, then the connection is
 //!   dropped with a counted overflow. Memory stays bounded; the client
@@ -49,7 +55,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::daemon::PlacementDaemon;
-use crate::proto::{frame, Envelope, FrameAssembler, Reply, Response};
+use crate::proto::Session;
 
 /// Tunables for [`TcpServer`]. All timeouts are in real milliseconds —
 /// this is the one edge of the system that touches wall time, and it does
@@ -372,25 +378,6 @@ fn try_flush(stream: &mut TcpStream, pending: &mut Vec<u8>) -> io::Result<()> {
     Ok(())
 }
 
-fn dispatch(shared: &Shared, payload: &[u8]) -> Vec<u8> {
-    let reply = match Envelope::decode(payload) {
-        Ok(env) => {
-            let request_id = env.request_id;
-            let now = shared.now_ticks.load(Ordering::Relaxed);
-            let response = lock_daemon(&shared.daemon).submit_envelope(now, env);
-            Reply {
-                request_id,
-                response,
-            }
-        }
-        Err(_) => Reply {
-            request_id: 0,
-            response: Response::Malformed { tag: 0 },
-        },
-    };
-    frame(&reply.encode())
-}
-
 fn serve_conn(mut stream: TcpStream, shared: &Shared, cfg: &ServerConfig) {
     let poll = Duration::from_millis(cfg.poll_ms.max(1));
     if stream.set_read_timeout(Some(poll)).is_err() || stream.set_write_timeout(Some(poll)).is_err()
@@ -398,33 +385,29 @@ fn serve_conn(mut stream: TcpStream, shared: &Shared, cfg: &ServerConfig) {
         return;
     }
     let _ = stream.set_nodelay(true);
-    let mut asm = FrameAssembler::new();
-    let mut pending: Vec<u8> = Vec::new();
+    let mut session = Session::new();
     let mut idle_ms = 0u64;
     let mut buf = vec![0u8; 16 * 1024];
     loop {
         match stream.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
-                if let Some(chunk) = buf.get(..n) {
-                    asm.feed(chunk);
-                }
-                loop {
-                    match asm.next_frame() {
-                        Ok(Some(payload)) => {
-                            idle_ms = 0;
-                            let reply = dispatch(shared, &payload);
-                            pending.extend_from_slice(&reply);
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            // Unrecoverable stream (bad checksum / hostile
-                            // length): answer what we can, then cut.
-                            shared.corrupt_disconnects.fetch_add(1, Ordering::Relaxed);
-                            let _ = try_flush(&mut stream, &mut pending);
-                            let _ = stream.shutdown(Shutdown::Both);
-                            return;
-                        }
+                // The daemon lock is taken once per frame, so connections
+                // interleave frame by frame.
+                let fed = session.feed(buf.get(..n).unwrap_or_default(), |env| {
+                    let now = shared.now_ticks.load(Ordering::Relaxed);
+                    lock_daemon(&shared.daemon).submit_envelope(now, env)
+                });
+                match fed {
+                    Ok(0) => {}
+                    Ok(_) => idle_ms = 0,
+                    Err(_) => {
+                        // Unrecoverable stream (bad checksum / hostile
+                        // length): answer what we can, then cut.
+                        shared.corrupt_disconnects.fetch_add(1, Ordering::Relaxed);
+                        let _ = try_flush(&mut stream, session.outbound());
+                        let _ = stream.shutdown(Shutdown::Both);
+                        return;
                     }
                 }
             }
@@ -440,7 +423,8 @@ fn serve_conn(mut stream: TcpStream, shared: &Shared, cfg: &ServerConfig) {
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => break,
         }
-        if try_flush(&mut stream, &mut pending).is_err() {
+        let pending = session.outbound();
+        if try_flush(&mut stream, pending).is_err() {
             break;
         }
         if pending.len() > cfg.write_buffer_cap {
@@ -456,6 +440,6 @@ fn serve_conn(mut stream: TcpStream, shared: &Shared, cfg: &ServerConfig) {
     }
     // Flush journaled acks best-effort before closing; anything lost here
     // is safe to retry thanks to the dedup window.
-    let _ = try_flush(&mut stream, &mut pending);
+    let _ = try_flush(&mut stream, session.outbound());
     let _ = stream.shutdown(Shutdown::Both);
 }

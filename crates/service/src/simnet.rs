@@ -4,24 +4,34 @@
 //! handles that implement the same [`Transport`] trait as the TCP path, so
 //! a [`crate::client::ServiceClient`] runs its real reconnect/backoff/
 //! dedup logic against it unchanged. Time is virtual (every connection op
-//! advances it by a fixed cost; sleeps advance it directly) and an epoch
-//! auto-commits whenever virtual time crosses the epoch interval — no
-//! clocks, no threads, fully replayable from a seed.
+//! advances it by 1 ms; sleeps advance it directly) and an epoch
+//! auto-commits every 50 ms of virtual time — no clocks, no threads,
+//! fully replayable from a seed.
+//!
+//! The server side of each connection is a [`Session`], the frame→reply
+//! loop [`crate::server::TcpServer`] and
+//! [`PlacementDaemon::handle_frames`] run too, so the fabric answers any
+//! byte stream exactly as they do. That includes the corrupt-stream rule:
+//! a frame with a bad checksum or an impossible length ends the stream,
+//! every frame before it is answered and its reply still delivered, then
+//! the connection is closed. [`SimStats`] counts the fabric's faults and,
+//! under the TCP server's names ([`ServerStats`]), everything the server
+//! counts.
 //!
 //! Seeded socket faults, rolled per operation from a SplitMix64 stream:
 //!
-//! - **disconnect mid-frame** — a write delivers a seeded prefix of its
-//!   bytes and the connection dies, leaving the server holding a torn
-//!   frame;
+//! - **disconnect mid-frame** — a write's connection dies partway through
+//!   it, before the server answers any of its bytes;
 //! - **split/coalesced I/O** — writes are partially accepted and reads
 //!   hand back seeded-size chunks, exercising cross-read reassembly;
 //! - **stalled writers / half-open peers** — a connection silently stops
 //!   delivering replies (they are withheld, not lost) until a seeded
 //!   recovery roll, forcing client timeouts and reconnects;
-//! - **write-buffer overflow** — withheld replies beyond the cap kill the
-//!   connection, mirroring the TCP server's bounded-buffer policy;
-//! - **idle kill** — a torn frame sitting quiet past the idle deadline
-//!   gets the connection dropped (the slowloris defense, virtualized).
+//! - **write-buffer overflow** — more than 64 KiB of undelivered replies
+//!   kills the connection, mirroring the TCP server's bounded-buffer
+//!   policy;
+//! - **idle kill** — a torn frame sitting quiet for 400 ms gets the
+//!   connection dropped (the slowloris defense, virtualized).
 //!
 //! A [`SimNet::crash_restart`] models kill -9: the daemon is rebuilt from
 //! its journal via [`PlacementDaemon::recover`] and every connection dies.
@@ -36,38 +46,22 @@ use goldilocks_rng::SplitMix64;
 use goldilocks_topology::DcTree;
 
 use crate::daemon::{PlacementDaemon, RecoveryReport, ServiceError};
-use crate::proto::{frame, Envelope, FrameAssembler, Reply, Response};
+use crate::proto::Session;
+use crate::server::ServerStats;
 use crate::transport::{Conn, Transport, TransportError};
 
-/// Fabric-level tunables (virtual milliseconds).
-#[derive(Clone, Copy, Debug)]
-pub struct SimNetConfig {
-    /// Commit an epoch whenever virtual time crosses this interval.
-    pub epoch_interval_ms: u64,
-    /// Connection cap; connects beyond it are refused.
-    pub max_connections: usize,
-    /// A connection holding a partial frame quiet for this long is killed.
-    pub idle_timeout_ms: u64,
-    /// Reply bytes buffered per connection before it is killed.
-    pub write_buffer_cap: usize,
-    /// Virtual cost of one connection operation.
-    pub op_cost_ms: u64,
-    /// Poll interval reported to clients (their timeout-counting unit).
-    pub poll_ms: u64,
-}
-
-impl Default for SimNetConfig {
-    fn default() -> Self {
-        SimNetConfig {
-            epoch_interval_ms: 50,
-            max_connections: 64,
-            idle_timeout_ms: 400,
-            write_buffer_cap: 64 * 1024,
-            op_cost_ms: 1,
-            poll_ms: 5,
-        }
-    }
-}
+/// An epoch commits whenever virtual time crosses a multiple of this.
+const EPOCH_INTERVAL_MS: u64 = 50;
+/// Connection cap; connects beyond it are refused.
+const MAX_CONNECTIONS: usize = 64;
+/// A connection holding a partial frame quiet for this long is killed.
+const IDLE_TIMEOUT_MS: u64 = 400;
+/// Reply bytes buffered per connection before it is killed.
+const WRITE_BUFFER_CAP: usize = 64 * 1024;
+/// Virtual cost of one connection operation.
+const OP_COST_MS: u64 = 1;
+/// Poll interval reported to clients (their timeout-counting unit).
+const POLL_MS: u64 = 5;
 
 /// Seeded fault rates, each rolled independently per operation.
 #[derive(Clone, Copy, Debug)]
@@ -104,37 +98,43 @@ impl SimFaultConfig {
     }
 }
 
-/// Fabric counters (deterministic given the seed and the op sequence).
-#[derive(Clone, Debug, Default, PartialEq)]
+/// Fabric counters (deterministic given the seed and the op sequence):
+/// the fault counters, plus the server-side counters under the TCP
+/// server's names.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Connections cut mid-frame by the fault roll.
     pub cuts: u64,
-    /// Connections killed by write-buffer overflow.
-    pub overflows: u64,
-    /// Connections killed by the idle deadline.
-    pub idle_kills: u64,
-    /// Connects refused at the cap.
-    pub refused: u64,
     /// Connections that started stalled (half-open).
     pub stalls: u64,
     /// Stalled connections that recovered.
     pub unstalls: u64,
     /// Crash-restarts performed.
     pub crashes: u64,
-    /// Epochs committed by the virtual pump.
-    pub epochs_committed: u64,
-    /// Admits placed across all committed epochs.
-    pub placed: u64,
-    /// An epoch commit failed (only possible with injected WAL faults).
-    pub commit_failed: bool,
+    /// Accepts, refusals, disconnects and epoch commits, counted as
+    /// [`crate::server::TcpServer`] counts them (`pump_failed` flags a
+    /// failed commit, only possible with injected WAL faults).
+    pub server: ServerStats,
+}
+
+/// Where a fabric connection is in its life.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Link {
+    /// Serving in both directions.
+    Open,
+    /// Closed by the server after a corrupt frame: the replies answered
+    /// before it still arrive, then the peer is gone (the TCP server's
+    /// flush-then-shutdown).
+    Closing,
+    /// Gone; undelivered replies died with it.
+    Dead,
 }
 
 struct SimConnState {
-    alive: bool,
+    link: Link,
+    /// Replies are withheld from reads until a seeded recovery roll.
     stalled: bool,
-    asm: FrameAssembler,
-    outbuf: Vec<u8>,
-    withheld: Vec<u8>,
+    session: Session,
     last_progress_ms: u64,
 }
 
@@ -142,7 +142,6 @@ struct SimNetInner {
     daemon: PlacementDaemon,
     service: ServiceConfig,
     tree: DcTree,
-    net: SimNetConfig,
     faults: SimFaultConfig,
     rng: SplitMix64,
     now_ms: u64,
@@ -174,47 +173,38 @@ impl SimNetInner {
     fn advance(&mut self, ms: u64) {
         self.now_ms = self.now_ms.saturating_add(ms);
         // Virtual epoch pump.
-        let interval = self.net.epoch_interval_ms.max(1);
         while self
             .epochs_committed
             .saturating_add(1)
-            .saturating_mul(interval)
+            .saturating_mul(EPOCH_INTERVAL_MS)
             <= self.now_ms
         {
-            if self.stats.commit_failed {
+            if self.stats.server.pump_failed {
                 break;
             }
             match self.daemon.commit_epoch(self.epochs_committed) {
                 Ok(rec) => {
-                    self.stats.placed += rec.placed;
-                    self.stats.epochs_committed += 1;
+                    self.stats.server.placed_total += rec.placed;
+                    self.stats.server.epochs_committed += 1;
                     self.epochs_committed += 1;
                     let _ = self.daemon.drain_outbox();
                 }
                 Err(_) => {
-                    self.stats.commit_failed = true;
+                    self.stats.server.pump_failed = true;
                     break;
                 }
             }
         }
         // Idle sweep: a partial frame held quiet past the deadline kills
         // its connection (the virtual slowloris defense).
-        let deadline = self.net.idle_timeout_ms;
         let now = self.now_ms;
-        let victims: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| {
-                c.alive
-                    && c.asm.pending_bytes() > 0
-                    && now.saturating_sub(c.last_progress_ms) >= deadline
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        for id in victims {
-            if let Some(c) = self.conns.get_mut(&id) {
-                c.alive = false;
-                self.stats.idle_kills += 1;
+        for c in self.conns.values_mut() {
+            if c.link == Link::Open
+                && c.session.pending_bytes() > 0
+                && now.saturating_sub(c.last_progress_ms) >= IDLE_TIMEOUT_MS
+            {
+                c.link = Link::Dead;
+                self.stats.server.idle_disconnects += 1;
             }
         }
     }
@@ -226,26 +216,25 @@ impl SimNetInner {
     }
 
     fn connect(&mut self) -> Result<u64, TransportError> {
-        self.advance(self.net.op_cost_ms);
-        let live = self.conns.values().filter(|c| c.alive).count();
-        if live >= self.net.max_connections {
-            self.stats.refused += 1;
+        self.advance(OP_COST_MS);
+        let live = self.conns.values().filter(|c| c.link == Link::Open).count();
+        if live >= MAX_CONNECTIONS {
+            self.stats.server.conns_refused += 1;
             return Err(TransportError::Refused);
         }
         let stalled = chance(&mut self.rng, self.faults.stall_on_connect);
         if stalled {
             self.stats.stalls += 1;
         }
+        self.stats.server.conns_accepted += 1;
         let id = self.next_conn;
         self.next_conn += 1;
         self.conns.insert(
             id,
             SimConnState {
-                alive: true,
+                link: Link::Open,
                 stalled,
-                asm: FrameAssembler::new(),
-                outbuf: Vec::new(),
-                withheld: Vec::new(),
+                session: Session::new(),
                 last_progress_ms: self.now_ms,
             },
         );
@@ -253,120 +242,84 @@ impl SimNetInner {
     }
 
     fn conn_write(&mut self, id: u64, bytes: &[u8]) -> Result<usize, TransportError> {
-        self.advance(self.net.op_cost_ms);
+        self.advance(OP_COST_MS);
         if bytes.is_empty() {
             return Ok(0);
         }
-        // Phase 1: fault rolls + feed the server-side assembler.
-        let (accepted, payloads) = {
-            let cut = chance(&mut self.rng, self.faults.cut_per_write);
-            let short = chance(&mut self.rng, self.faults.partial_write);
-            let cut_at = index(&mut self.rng, bytes.len());
-            let short_len = 1 + index(&mut self.rng, bytes.len());
-            let Some(c) = self.conns.get_mut(&id) else {
-                return Err(TransportError::Disconnected);
-            };
-            if !c.alive {
-                return Err(TransportError::Disconnected);
-            }
-            if cut {
-                // Deliver a prefix, then die mid-frame: the server-side
-                // assembler keeps the torn bytes, the client must
-                // reconnect and retry through the dedup window.
-                if let Some(prefix) = bytes.get(..cut_at) {
-                    c.asm.feed(prefix);
-                }
-                c.alive = false;
-                self.stats.cuts += 1;
-                return Err(TransportError::Disconnected);
-            }
-            let n = if short { short_len } else { bytes.len() };
-            let Some(chunk) = bytes.get(..n) else {
-                return Err(TransportError::Disconnected);
-            };
-            c.asm.feed(chunk);
-            let mut payloads = Vec::new();
-            loop {
-                match c.asm.next_frame() {
-                    Ok(Some(p)) => payloads.push(p),
-                    Ok(None) => break,
-                    Err(_) => {
-                        c.alive = false;
-                        return Err(TransportError::Corrupt);
-                    }
-                }
-            }
-            if !payloads.is_empty() {
-                c.last_progress_ms = self.now_ms;
-            }
-            (n, payloads)
+        let cut = chance(&mut self.rng, self.faults.cut_per_write);
+        let short = chance(&mut self.rng, self.faults.partial_write);
+        // Where a cut tears the write. Drawn on every write to keep the
+        // stream's order; the server answers nothing a cut write carried.
+        let _cut_at = index(&mut self.rng, bytes.len());
+        let short_len = 1 + index(&mut self.rng, bytes.len());
+        let now = self.now_tick();
+        let Some(c) = self.conns.get_mut(&id) else {
+            return Err(TransportError::Disconnected);
         };
-        // Phase 2: dispatch complete envelopes into the daemon.
-        let mut replies = Vec::new();
-        for p in payloads {
-            let now = self.now_tick();
-            let reply = match Envelope::decode(&p) {
-                Ok(env) => Reply {
-                    request_id: env.request_id,
-                    response: self.daemon.submit_envelope(now, env),
-                },
-                Err(_) => Reply {
-                    request_id: 0,
-                    response: Response::Malformed { tag: 0 },
-                },
-            };
-            replies.push(frame(&reply.encode()));
+        if c.link != Link::Open {
+            return Err(TransportError::Disconnected);
         }
-        // Phase 3: enqueue replies (withheld while stalled) + overflow.
-        if let Some(c) = self.conns.get_mut(&id) {
-            for r in replies {
-                if c.stalled {
-                    c.withheld.extend_from_slice(&r);
-                } else {
-                    c.outbuf.extend_from_slice(&r);
-                }
-            }
-            if c.outbuf.len() + c.withheld.len() > self.net.write_buffer_cap {
-                c.alive = false;
-                self.stats.overflows += 1;
+        if cut {
+            // Disconnect mid-frame: the client must reconnect and retry
+            // through the dedup window.
+            c.link = Link::Dead;
+            self.stats.cuts += 1;
+            return Err(TransportError::Disconnected);
+        }
+        let n = if short { short_len } else { bytes.len() };
+        let daemon = &mut self.daemon;
+        let fed = c.session.feed(bytes.get(..n).unwrap_or_default(), |env| {
+            daemon.submit_envelope(now, env)
+        });
+        match fed {
+            Ok(0) => {}
+            Ok(_) => c.last_progress_ms = self.now_ms,
+            Err(_) => {
+                c.link = Link::Closing;
+                self.stats.server.corrupt_disconnects += 1;
+                return Err(TransportError::Corrupt);
             }
         }
-        Ok(accepted)
+        if c.session.outbound().len() > WRITE_BUFFER_CAP {
+            c.link = Link::Dead;
+            self.stats.server.overflow_disconnects += 1;
+        }
+        Ok(n)
     }
 
     fn conn_read(&mut self, id: u64, buf: &mut [u8]) -> Result<usize, TransportError> {
-        self.advance(self.net.op_cost_ms);
+        self.advance(OP_COST_MS);
         let unstall = chance(&mut self.rng, self.faults.unstall_per_read);
         let chunked = self.faults.chunked_reads;
         let pick = self.rng.next_u64();
         let Some(c) = self.conns.get_mut(&id) else {
             return Err(TransportError::Disconnected);
         };
-        if !c.alive {
+        let out = c.session.outbound();
+        match c.link {
+            Link::Open => {}
+            Link::Closing if !c.stalled && !out.is_empty() => {}
             // Undelivered replies died with the connection — exactly the
             // lost-Accepted window the dedup drill exercises.
-            return Err(TransportError::Disconnected);
+            _ => return Err(TransportError::Disconnected),
         }
         if c.stalled {
-            if unstall {
-                c.stalled = false;
-                let withheld = std::mem::take(&mut c.withheld);
-                c.outbuf.extend_from_slice(&withheld);
-                self.stats.unstalls += 1;
-            } else {
+            if !unstall {
                 return Err(TransportError::WouldBlock);
             }
+            c.stalled = false;
+            self.stats.unstalls += 1;
         }
-        if c.outbuf.is_empty() || buf.is_empty() {
+        if out.is_empty() || buf.is_empty() {
             return Err(TransportError::WouldBlock);
         }
-        let max = c.outbuf.len().min(buf.len());
+        let max = out.len().min(buf.len());
         let n = if chunked && max > 1 {
             1 + (pick as usize) % max
         } else {
             max
         };
-        for (dst, src) in buf.iter_mut().zip(c.outbuf.drain(..n)) {
+        for (dst, src) in buf.iter_mut().zip(out.drain(..n)) {
             *dst = src;
         }
         Ok(n)
@@ -374,7 +327,7 @@ impl SimNetInner {
 
     fn conn_close(&mut self, id: u64) {
         if let Some(c) = self.conns.get_mut(&id) {
-            c.alive = false;
+            c.link = Link::Dead;
         }
     }
 }
@@ -394,19 +347,13 @@ impl Clone for SimNet {
 
 impl SimNet {
     /// A fresh fabric around a new daemon.
-    pub fn new(
-        service: ServiceConfig,
-        tree: DcTree,
-        net: SimNetConfig,
-        faults: SimFaultConfig,
-    ) -> Self {
+    pub fn new(service: ServiceConfig, tree: DcTree, faults: SimFaultConfig) -> Self {
         let daemon = PlacementDaemon::new(service.clone(), tree.clone());
         SimNet {
             inner: Rc::new(RefCell::new(SimNetInner {
                 daemon,
                 service,
                 tree,
-                net,
                 rng: SplitMix64::from_state(faults.seed ^ 0x51D0_0E75_F4B1_1C00),
                 faults,
                 now_ms: 0,
@@ -460,7 +407,10 @@ impl SimNet {
 
     /// A snapshot of the fabric counters.
     pub fn stats(&self) -> SimStats {
-        self.inner.borrow().stats.clone()
+        let n = self.inner.borrow();
+        let mut stats = n.stats.clone();
+        stats.server.live_conns = n.conns.values().filter(|c| c.link == Link::Open).count() as u64;
+        stats
     }
 }
 
@@ -505,6 +455,6 @@ impl Transport for SimTransport {
     }
 
     fn poll_ms(&self) -> u64 {
-        self.inner.borrow().net.poll_ms.max(1)
+        POLL_MS
     }
 }

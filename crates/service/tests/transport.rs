@@ -1,14 +1,15 @@
 //! Transport-layer integration tests: real loopback sockets end to end,
 //! idempotent retry across reconnects, the crash-between-ack-and-reply
 //! drill, kill-safe drain, the slowloris idle deadline, the compacted
-//! served journal's crash drill, and the deterministic sim fabric driving
-//! the same client.
+//! served journal's crash drill, the deterministic sim fabric driving
+//! the same client, and one byte stream answered alike in process, over
+//! the fabric and over a socket.
 
 use goldilocks_core::ServiceConfig;
 use goldilocks_rng::SplitMix64;
 use goldilocks_service::{
     ClientConfig, Envelope, PlacementDaemon, QueryStatus, Request, Response, ServerConfig,
-    ServiceClient, SimFaultConfig, SimNet, SimNetConfig, TcpServer, TcpTransport,
+    ServiceClient, SimFaultConfig, SimNet, TcpServer, TcpTransport,
 };
 use goldilocks_topology::{builders::single_rack, DcTree, Resources};
 
@@ -238,12 +239,7 @@ fn slowloris_partial_frame_is_cut_by_the_idle_deadline() {
 #[test]
 fn sim_fabric_runs_the_same_client_deterministically() {
     let run = |seed: u64| {
-        let net = SimNet::new(
-            svc_cfg(),
-            rack(),
-            SimNetConfig::default(),
-            SimFaultConfig::quiet(seed),
-        );
+        let net = SimNet::new(svc_cfg(), rack(), SimFaultConfig::quiet(seed));
         let mut client = ServiceClient::new(net.transport(), client_cfg(1));
         let a = client.admit(5, demand(), 0).expect("admit");
         let b = client.admit(4, demand(), 0).expect("admit");
@@ -263,7 +259,7 @@ fn sim_fabric_runs_the_same_client_deterministically() {
     assert_eq!((a, b), (0, 1));
     assert!(matches!(qa, QueryStatus::Placed { .. }));
     assert!(matches!(qb, QueryStatus::Placed { .. }));
-    assert!(stats.epochs_committed >= 1);
+    assert!(stats.server.epochs_committed >= 1);
 
     // Same seed → byte-identical journal and identical stats.
     let (a2, b2, qa2, qb2, stats2, wal2) = run(42);
@@ -274,12 +270,7 @@ fn sim_fabric_runs_the_same_client_deterministically() {
 
 #[test]
 fn sim_crash_restart_preserves_the_dedup_window() {
-    let net = SimNet::new(
-        svc_cfg(),
-        rack(),
-        SimNetConfig::default(),
-        SimFaultConfig::quiet(7),
-    );
+    let net = SimNet::new(svc_cfg(), rack(), SimFaultConfig::quiet(7));
     let mut client = ServiceClient::new(net.transport(), client_cfg(6));
     let seq = client.admit(5, demand(), 0).expect("admit");
 
@@ -532,4 +523,122 @@ fn compacted_served_journal_recovers_like_the_whole_log() {
     let (d, _) = PlacementDaemon::recover(cfg, rack(), served.wal_bytes()).expect("recover");
     assert_eq!(d.assignment(), reference.assignment());
     assert_eq!(d.seqs_issued(), reference.seqs_issued());
+}
+
+/// The cross-transport stream, one entry per client write: two admits in
+/// one write, a third admit split across two writes, an undecodable
+/// envelope (answered `Malformed`), then a fourth admit followed by a frame
+/// whose checksum is broken, in one write.
+fn equivalence_writes() -> Vec<Vec<u8>> {
+    let admit = |request_id: u64| {
+        goldilocks_service::frame(
+            &Envelope {
+                client: 5,
+                request_id,
+                request: Request::Admit {
+                    priority: 5,
+                    demand: demand(),
+                    deadline_ticks: 0,
+                    tag: request_id,
+                },
+            }
+            .encode(),
+        )
+    };
+    let split = admit(3);
+    let mut broken = admit(5);
+    broken[4] ^= 0xFF;
+    vec![
+        [admit(1), admit(2)].concat(),
+        split[..7].to_vec(),
+        split[7..].to_vec(),
+        goldilocks_service::frame(&[1, 2, 3]),
+        [admit(4), broken].concat(),
+    ]
+}
+
+/// Reads what `conn` delivers until it reports anything but data.
+fn drain_sim_conn(conn: &mut goldilocks_service::SimConn, out: &mut Vec<u8>) {
+    use goldilocks_service::Conn;
+    let mut buf = [0u8; 256];
+    while let Ok(n @ 1..) = conn.read(&mut buf) {
+        out.extend_from_slice(&buf[..n]);
+    }
+}
+
+#[test]
+fn every_transport_answers_one_stream_alike() {
+    use goldilocks_service::{Conn, Transport, TransportError};
+    use std::io::{Read, Write};
+    let writes = equivalence_writes();
+    let last = writes.len() - 1;
+
+    // In process, through `handle_frames`.
+    let mut d = PlacementDaemon::new(svc_cfg(), rack());
+    let mut in_process = Vec::new();
+    for (i, w) in writes.iter().enumerate() {
+        let (out, corrupt) = d.handle_frames(1, w);
+        in_process.extend_from_slice(&out);
+        assert_eq!(corrupt, i == last, "write {i}");
+    }
+    let replies = goldilocks_service::deframe(&in_process).0;
+    assert_eq!(replies.len(), 5, "four admits and one Malformed answered");
+    assert!(replies.iter().any(|p| matches!(
+        goldilocks_service::Reply::decode(p).map(|r| r.response),
+        Ok(Response::Malformed { tag: 0 })
+    )));
+
+    // Over the deterministic fabric.
+    let net = SimNet::new(svc_cfg(), rack(), SimFaultConfig::quiet(1));
+    let mut conn = net.transport().connect().expect("connect");
+    let mut sim = Vec::new();
+    for (i, w) in writes.iter().enumerate() {
+        let wrote = conn.write(w);
+        if i == last {
+            assert_eq!(wrote, Err(TransportError::Corrupt));
+        } else {
+            assert_eq!(wrote, Ok(w.len()), "write {i}");
+        }
+        drain_sim_conn(&mut conn, &mut sim);
+    }
+    assert_eq!(
+        (
+            goldilocks_service::deframe(&sim).0.len(),
+            net.with_daemon(|d| d.seqs_issued())
+        ),
+        (replies.len(), d.seqs_issued()),
+        "(replies, accepts) over the fabric"
+    );
+    assert_eq!(sim, in_process, "the fabric's reply bytes differ");
+    assert_eq!(net.stats().server.corrupt_disconnects, 1);
+
+    // Over a real socket.
+    let handle = TcpServer::start(
+        PlacementDaemon::new(svc_cfg(), rack()),
+        server_cfg(),
+        "127.0.0.1:0",
+    )
+    .expect("bind");
+    let mut raw = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    raw.set_nodelay(true).expect("nodelay");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("timeout");
+    for w in &writes {
+        raw.write_all(w).expect("write");
+        raw.flush().expect("flush");
+    }
+    let mut tcp = Vec::new();
+    raw.read_to_end(&mut tcp)
+        .expect("the server closes after the corrupt frame");
+    assert_eq!(
+        (
+            goldilocks_service::deframe(&tcp).0.len(),
+            handle.with_daemon(|d| d.seqs_issued())
+        ),
+        (replies.len(), d.seqs_issued()),
+        "(replies, accepts) over the socket"
+    );
+    assert_eq!(tcp, in_process, "the socket's reply bytes differ");
+    assert_eq!(handle.stats().corrupt_disconnects, 1);
+    let _ = handle.drain();
 }

@@ -22,7 +22,7 @@ use goldilocks_core::ServiceConfig;
 use goldilocks_rng::SplitMix64;
 use goldilocks_service::{
     ClientConfig, ClientError, PlacementDaemon, Request, ServiceClient, ServiceEpochRecord,
-    SimFaultConfig, SimNet, SimNetConfig, SimStats, SimTransport,
+    SimFaultConfig, SimNet, SimStats, SimTransport,
 };
 use goldilocks_topology::{DcTree, Resources};
 
@@ -358,7 +358,7 @@ pub fn run_service_soak(tree: &DcTree, cfg: &ServiceSoakConfig) -> ServiceSoakRu
                     match PlacementDaemon::recover(cfg.service.clone(), tree.clone(), &wal) {
                         Ok((d, _)) => {
                             run.crashes += 1;
-                            if !wal_prefix_ok(&wal, d.wal_bytes()) {
+                            if !wal.starts_with(d.wal_bytes()) {
                                 run.replay_consistent = false;
                             }
                             daemon = d;
@@ -407,9 +407,7 @@ pub fn run_service_soak(tree: &DcTree, cfg: &ServiceSoakConfig) -> ServiceSoakRu
                     Ok((d, _)) => {
                         run.crashes += 1;
                         run.forced_recoveries += 1;
-                        if !wal_prefix_ok(d.wal_bytes(), &wal)
-                            && !wal_prefix_ok(&wal, d.wal_bytes())
-                        {
+                        if !d.wal_bytes().starts_with(&wal) && !wal.starts_with(d.wal_bytes()) {
                             run.replay_consistent = false;
                         }
                         daemon = d;
@@ -494,10 +492,6 @@ fn retag(req: &Request, round: u64) -> Request {
     }
 }
 
-fn wal_prefix_ok(longer: &[u8], prefix: &[u8]) -> bool {
-    longer.len() >= prefix.len() && &longer[..prefix.len()] == prefix
-}
-
 /// Transport-layer chaos configuration: a fleet of real
 /// [`ServiceClient`]s driven over the deterministic [`SimNet`] fault
 /// fabric, with seeded socket faults and kill -9 restarts.
@@ -505,8 +499,6 @@ fn wal_prefix_ok(longer: &[u8], prefix: &[u8]) -> bool {
 pub struct TransportChaosConfig {
     /// The daemon configuration under test.
     pub service: ServiceConfig,
-    /// Fabric tunables (epoch pump, caps, idle deadline).
-    pub net: SimNetConfig,
     /// Seeded socket-fault rates.
     pub faults: SimFaultConfig,
     /// Number of concurrent client identities.
@@ -529,7 +521,6 @@ impl Default for TransportChaosConfig {
     fn default() -> Self {
         TransportChaosConfig {
             service: ServiceConfig::default(),
-            net: SimNetConfig::default(),
             faults: SimFaultConfig::quiet(42),
             clients: 8,
             rounds: 12,
@@ -589,7 +580,7 @@ pub struct TransportChaosRun {
 pub fn run_transport_chaos(tree: &DcTree, cfg: &TransportChaosConfig) -> TransportChaosRun {
     use std::collections::BTreeSet;
 
-    let net = SimNet::new(cfg.service.clone(), tree.clone(), cfg.net, cfg.faults);
+    let net = SimNet::new(cfg.service.clone(), tree.clone(), cfg.faults);
     let mut rng = SplitMix64::from_state(cfg.seed ^ 0x7A11_5B0B_17C0_DE5A);
     let mut clients: Vec<ServiceClient<SimTransport>> = (0..cfg.clients)
         .map(|i| {
@@ -642,7 +633,7 @@ pub fn run_transport_chaos(tree: &DcTree, cfg: &TransportChaosConfig) -> Transpo
                 Ok(_) => {
                     run.crashes += 1;
                     let after = net.with_daemon(|d| d.wal_bytes().to_vec());
-                    if !wal_prefix_ok(&after, &before) {
+                    if !after.starts_with(&before) {
                         run.replay_consistent = false;
                     }
                 }
@@ -709,6 +700,7 @@ fn demand_sample_sm(rng: &mut SplitMix64) -> Resources {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use goldilocks_service::ServerStats;
     use goldilocks_topology::builders::single_rack;
 
     fn tree() -> DcTree {
@@ -820,18 +812,96 @@ mod tests {
         assert!(run.ok > 0);
     }
 
-    #[test]
-    fn quiet_transport_run_is_fault_free() {
+    fn quiet_transport_cfg() -> TransportChaosConfig {
         let mut cfg = transport_cfg(5);
         cfg.faults = SimFaultConfig::quiet(5);
         cfg.crash_prob = 0.0;
-        let run = run_transport_chaos(&tree(), &cfg);
+        cfg
+    }
+
+    /// A run's counters by value: the run's own, the fabric's fault
+    /// counters, and the final journal's length and CRC-32.
+    fn known_answers(run: &TransportChaosRun) -> ([u64; 11], [u64; 4], bool, usize, u32) {
+        (
+            [
+                run.calls,
+                run.ok,
+                run.typed_shed,
+                run.typed_expired,
+                run.overloaded,
+                run.transport_failed,
+                run.duplicate_seqs,
+                run.lost_accepts,
+                run.reconnects,
+                run.crashes,
+                run.final_live,
+            ],
+            [
+                run.sim.cuts,
+                run.sim.stalls,
+                run.sim.unstalls,
+                run.sim.crashes,
+            ],
+            run.replay_consistent,
+            run.final_wal.len(),
+            goldilocks_cluster::crc32(&run.final_wal),
+        )
+    }
+
+    #[test]
+    fn transport_chaos_known_answers() {
+        let chaos = run_transport_chaos(&tree(), &transport_cfg(13));
+        let quiet = run_transport_chaos(&tree(), &quiet_transport_cfg());
+        assert_eq!(
+            known_answers(&chaos),
+            (
+                [384, 384, 0, 0, 0, 0, 0, 0, 53, 1, 30],
+                [45, 4, 4, 1],
+                true,
+                157_766,
+                2_932_616_013
+            )
+        );
+        assert_eq!(
+            known_answers(&quiet),
+            (
+                [384, 384, 0, 0, 0, 0, 0, 0, 0, 0, 30],
+                [0, 0, 0, 0],
+                true,
+                101_882,
+                2_758_811_203
+            )
+        );
+    }
+
+    /// The fabric's server-side counters for the same two runs, by value.
+    #[test]
+    fn transport_chaos_server_counters_known_answers() {
+        let chaos = run_transport_chaos(&tree(), &transport_cfg(13));
+        let quiet = run_transport_chaos(&tree(), &quiet_transport_cfg());
+        let expect = |conns_accepted, epochs_committed, placed_total| ServerStats {
+            conns_accepted,
+            epochs_committed,
+            placed_total,
+            live_conns: 8,
+            ..ServerStats::default()
+        };
+        assert_eq!(chaos.sim.server, expect(61, 60, 131));
+        assert_eq!(quiet.sim.server, expect(8, 29, 127));
+    }
+
+    #[test]
+    fn quiet_transport_run_is_fault_free() {
+        let run = run_transport_chaos(&tree(), &quiet_transport_cfg());
         assert_eq!(run.transport_failed, 0);
         assert_eq!(run.duplicate_seqs, 0);
         assert_eq!(run.lost_accepts, 0);
         assert_eq!(run.crashes, 0);
         assert_eq!(run.reconnects, 0);
-        assert_eq!(run.sim.cuts + run.sim.stalls + run.sim.overflows, 0);
+        assert_eq!(
+            run.sim.cuts + run.sim.stalls + run.sim.server.overflow_disconnects,
+            0
+        );
         assert_eq!(
             run.calls,
             run.ok + run.typed_shed + run.typed_expired + run.overloaded

@@ -24,7 +24,8 @@
 //! - [`Wal`] / [`WalEvent`]: a length-prefixed, CRC-32-checksummed
 //!   write-ahead log of every epoch decision, migration unit, and commit,
 //!   with periodic [`ClusterState`] snapshots. Its codec — the
-//!   [`Enc`]/[`Dec`] cursor, the frame writer [`frame`] and the frame
+//!   [`Enc`]/[`Dec`] cursor, the frame writer [`frame_into`] (and
+//!   [`frame`], which returns the frame in a fresh buffer) and the frame
 //!   scanner [`decode_frame`] — is also the serving layer's wire and
 //!   journal codec.
 //! - [`recover`]: snapshot + replayed-suffix state reconstruction,
@@ -64,6 +65,6 @@ pub use reconcile::{anti_entropy, RepairPlan};
 pub use recovery::{recover, OpenEpoch, Recovered};
 pub use snapshot::ClusterState;
 pub use wal::{
-    crc32, decode_frame, frame, Dec, DecodedLog, Enc, FrameScan, Wal, WalError, WalEvent, WalFull,
-    WriteFault,
+    crc32, decode_frame, frame, frame_into, Dec, DecodedLog, Enc, FrameScan, Wal, WalError,
+    WalEvent, WalFull, WriteFault,
 };

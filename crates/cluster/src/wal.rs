@@ -200,16 +200,26 @@ impl<'a> Dec<'a> {
 /// Wraps a payload in the one frame format every WAL record and wire
 /// message uses: `[len: u32 LE][crc32(payload): u32 LE][payload]`.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload.len() + 8);
+    frame_into(&mut out, payload);
+    out
+}
+
+/// Appends the frame of `payload` (see [`frame`]) to `out`: the one frame
+/// writer. The header and payload land straight in `out`, so a log or an
+/// outbound buffer takes a record without an intermediate framed copy.
+pub fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
     debug_assert!(payload.len() as u64 <= u64::from(u32::MAX));
-    let mut e = Enc {
-        buf: Vec::with_capacity(payload.len() + 8),
-    };
+    // The cursor writes into `out`'s own buffer, swapped in and back out.
+    let mut e = Enc::default();
+    std::mem::swap(&mut e.buf, out);
+    e.buf.reserve(payload.len() + 8);
     // lint:allow(no-lossy-cast-in-codecs) -- frame headers are u32 by format;
     // payloads are single records or messages, far below 4 GiB (debug-asserted)
     e.u32(payload.len() as u32);
     e.u32(crc32(payload));
     e.raw(payload);
-    e.buf
+    std::mem::swap(&mut e.buf, out);
 }
 
 /// What [`decode_frame`] found at an offset of a buffer.
@@ -607,7 +617,7 @@ impl Wal {
     /// Appends one event as a framed, checksummed record.
     // analyze:sink(wal-append) -- appended bytes must replay byte-identically
     pub fn append(&mut self, ev: &WalEvent) {
-        self.buf.extend_from_slice(&frame(&ev.encode()));
+        frame_into(&mut self.buf, &ev.encode());
     }
 
     /// Appends one event through an optional injected write fault.
@@ -624,17 +634,18 @@ impl Wal {
         ev: &WalEvent,
         fault: Option<WriteFault>,
     ) -> Result<(), WalFull> {
-        let bytes = frame(&ev.encode());
+        if fault == Some(WriteFault::DiskFull) {
+            return Err(WalFull);
+        }
+        let start = self.buf.len();
+        frame_into(&mut self.buf, &ev.encode());
         match fault {
-            Some(WriteFault::DiskFull) => Err(WalFull),
-            Some(WriteFault::ShortWrite(n)) if n < bytes.len() => {
-                self.buf.extend_from_slice(&bytes[..n]);
+            // Only the first `n` bytes of the frame land: a torn tail.
+            Some(WriteFault::ShortWrite(n)) if start + n < self.buf.len() => {
+                self.buf.truncate(start + n);
                 Err(WalFull)
             }
-            None | Some(WriteFault::ShortWrite(_)) => {
-                self.buf.extend_from_slice(&bytes);
-                Ok(())
-            }
+            _ => Ok(()),
         }
     }
 

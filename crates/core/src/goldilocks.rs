@@ -12,7 +12,7 @@
 use goldilocks_partition::{PartitionTree, VertexWeight};
 use goldilocks_placement::{PlaceError, Placement, Placer};
 use goldilocks_topology::{DcTree, Resources, ServerId};
-use goldilocks_workload::{ContainerGraphCache, GraphCacheStats, Workload};
+use goldilocks_workload::{ContainerGraphCache, Workload};
 
 use crate::config::GoldilocksConfig;
 
@@ -51,12 +51,6 @@ impl Goldilocks {
             config,
             graph_cache: ContainerGraphCache::new(),
         }
-    }
-
-    /// Build-path counters of the container-graph cache (how many epochs hit
-    /// the refresh/delta paths vs full rebuilds).
-    pub fn graph_cache_stats(&self) -> GraphCacheStats {
-        self.graph_cache.stats()
     }
 
     /// Runs placement and returns the partition tree alongside the

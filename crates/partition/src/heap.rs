@@ -30,6 +30,61 @@ pub(crate) struct VertexHeap<'a> {
     ops: u64,
 }
 
+/// An ascending id cursor over the candidates a [`VertexHeap`] leaves out
+/// because their gain is 0 and stays 0 until they enter the heap: the
+/// outside vertices no absorption has touched in greedy growing, the
+/// isolated vertices of an FM repair pass. Those candidates pop from a full
+/// heap in plain id order, so the cursor serves them without sorting them.
+/// [`IdCursor::take`] merges the two sources in exactly the
+/// `(gain, Reverse(v))` order a heap holding every candidate pops.
+pub(crate) struct IdCursor {
+    next: usize,
+    end: usize,
+    /// Candidates served by the cursor rather than the heap.
+    takes: u64,
+}
+
+impl IdCursor {
+    /// A cursor over the ids `0..end` (`end` = 0 serves nothing).
+    pub(crate) fn new(end: usize) -> Self {
+        IdCursor {
+            next: 0,
+            end,
+            takes: 0,
+        }
+    }
+
+    /// Removes and returns the next candidate: the heap top, or the
+    /// cursor's lowest id `v` with `!held(heap, v)` — a gain-0 candidate —
+    /// whichever ranks higher. `held` marks the ids that are not cursor
+    /// candidates (taken already, or in the heap); once held, an id must
+    /// stay held.
+    pub(crate) fn take(
+        &mut self,
+        heap: &mut VertexHeap<'_>,
+        held: impl Fn(&VertexHeap<'_>, usize) -> bool,
+    ) -> Option<usize> {
+        while self.next < self.end && held(heap, self.next) {
+            self.next += 1;
+        }
+        let idle = (self.next < self.end).then_some(self.next);
+        if let Some(top) = heap.peek() {
+            if idle.is_none_or(|v| top > heap_key(0, v)) {
+                return heap.pop();
+            }
+        }
+        let v = idle?;
+        self.next += 1;
+        self.takes += 1;
+        Some(v)
+    }
+
+    /// Candidates served by the cursor so far.
+    pub(crate) fn takes(&self) -> u64 {
+        self.takes
+    }
+}
+
 /// Packs the ordering key: lexicographically `(gain asc, vertex desc)`,
 /// i.e. `(gain, Reverse(vertex))`, as one `i128`. With the high 64 bits
 /// holding the signed gain and the low 64 holding `!vertex` (unsigned),
@@ -105,7 +160,17 @@ impl<'a> VertexHeap<'a> {
         Some(top)
     }
 
-    /// Pushes, updates and pops made so far.
+    /// The highest-ranked entry's packed key, without removing it.
+    pub(crate) fn peek(&self) -> Option<i128> {
+        self.heap.first().copied()
+    }
+
+    /// Whether `v` is in the heap.
+    pub(crate) fn contains(&self, v: usize) -> bool {
+        self.pos[v] != Self::ABSENT
+    }
+
+    /// Seeds, pushes, updates and pops made so far.
     pub(crate) fn ops(&self) -> u64 {
         self.ops
     }

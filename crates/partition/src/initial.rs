@@ -17,18 +17,23 @@
 //! edgeless graph — every trial cuts 0 — grows once instead of `trials`
 //! times.
 //!
-//! Like METIS, growing picks each vertex from a priority queue: the shared
-//! indexed [`VertexHeap`] keyed `(gain, Reverse(v))`, which pops exactly the
-//! vertex an argmax scan over all outside vertices would pick. A trial costs
-//! O((n + |E|) log n) rather than the scan's O(n²), which matters where
-//! coarsening cannot shrink the graph — an edgeless graph of thousands of
-//! tenants reaches this stage at full size.
+//! Like METIS, growing picks each vertex from a priority queue keyed
+//! `(gain, Reverse(v))`, which yields exactly the vertex an argmax scan over
+//! all outside vertices would pick. As in METIS 5.1's `GrowBisection`, the
+//! queue — the shared indexed [`VertexHeap`] — holds only the vertices an
+//! absorption has touched. Every untouched outside vertex has gain 0, so an
+//! ascending [`IdCursor`] serves them, and each step takes the higher-ranked
+//! of the heap top and the cursor. A trial costs O(n) to reset plus
+//! O(|E| log n) for what it absorbs, rather than the scan's O(n²) or a full
+//! heap's O(n log n), which matters where coarsening cannot shrink the graph
+//! — an edgeless graph of thousands of tenants reaches this stage at full
+//! size and never touches the heap.
 
 use goldilocks_rng::SplitMix64;
 
 use crate::balance::BalanceTracker;
 use crate::graph::{EdgeWeight, Graph};
-use crate::heap::VertexHeap;
+use crate::heap::{IdCursor, VertexHeap};
 use crate::workspace::InitialScratch;
 
 /// Result of an initial bisection attempt.
@@ -89,12 +94,15 @@ fn grow_from(graph: &Graph, seed: usize, frac: f64, ws: &mut InitialScratch) {
         heap,
         heap_pos,
         heap_ops,
+        cursor_takes,
         trials: _,
     } = ws;
-    // Every vertex but the seed starts outside with gain 0.
+    // Every vertex but the seed starts outside with gain 0. The heap holds
+    // the outside vertices an absorption has touched; the cursor serves the
+    // untouched ones, whose gain is still 0, in id order.
     let n = graph.vertex_count();
     let mut heap = VertexHeap::new(heap, heap_pos, n);
-    heap.seed((0..n).filter(|&v| v != seed).map(|v| (0, v)));
+    let mut cursor = IdCursor::new(n);
 
     let mut next = Some(seed);
     while let Some(v) = next {
@@ -113,10 +121,11 @@ fn grow_from(graph: &Graph, seed: usize, frac: f64, ws: &mut InitialScratch) {
         next = if reached(absorbed, target) {
             None
         } else {
-            heap.pop()
+            cursor.take(&mut heap, |heap, u| side[u] == 0 || heap.contains(u))
         };
     }
     *heap_ops += heap.ops();
+    *cursor_takes += cursor.takes();
 }
 
 /// Runs up to `trials` greedy-growing attempts and returns the assignment
@@ -604,7 +613,8 @@ mod tests {
     }
 
     /// Counted ops per trial run (at most `trials`; fewer once a trial
-    /// reaches the cut floor), and `n + |E|`.
+    /// reaches the cut floor), and `n + |E|`. An op is a heap operation or
+    /// a candidate the id cursor serves.
     fn ops_per_trial(
         g: &Graph,
         trials: usize,
@@ -614,12 +624,14 @@ mod tests {
         let mut rng = SplitMix64::seed_from_u64(9);
         best_of_trials(g, 0.5, 0.05, trials, &mut rng, &mut ws, grow);
         let size = (g.vertex_count() + g.edge_count()) as f64;
-        (ws.heap_ops as f64 / ws.trials as f64, size)
+        let ops = ws.heap_ops + ws.cursor_takes;
+        (ops as f64 / ws.trials as f64, size)
     }
 
-    /// Scaling lock, counted in heap operations rather than seconds: a
-    /// trial does at most 2(n + |E|) of them, so 4× the graph costs ~4×
-    /// the ops (≤ 4.5× allowed), on edgeless and sparse graphs alike.
+    /// Scaling lock, counted in heap operations and cursor takes rather
+    /// than seconds: a trial does at most 2(n + |E|) of them, so 4× the
+    /// graph costs ~4× the ops (≤ 4.5× allowed), on edgeless and sparse
+    /// graphs alike.
     #[test]
     fn growing_ops_scale_linearly() {
         for sparse in [false, true] {
@@ -656,6 +668,31 @@ mod tests {
                 "one workspace sees every bisection"
             );
             assert_eq!(ws.initial.trials, k as u64 - 1, "n = {n}");
+        }
+    }
+
+    /// Work lock, counted in heap operations: a k-way pass over an edgeless
+    /// graph with 3-dimension weights touches no candidate heap, at n and
+    /// at 4n. Every gain is 0, so growing takes each vertex from the id
+    /// cursor and FM's balance repair walks the isolated vertices with it;
+    /// a heap holding every candidate costs O(n log n) per trial and pass.
+    #[test]
+    fn edgeless_kway_makes_no_heap_operations() {
+        for n in [2_000, 8_000] {
+            // Demands that trend with the id, so a region grown in id
+            // order is lopsided per dimension and FM must repair it.
+            let weights: Vec<Vec<f64>> = (0..n)
+                .map(|v| {
+                    let t = v as f64 / n as f64;
+                    vec![1.0 + t, 2.0 - t, 0.5 + (v % 7) as f64 / 7.0]
+                })
+                .collect();
+            let g = graph_from(3, &weights, &[]);
+            let mut ws = crate::PartitionWorkspace::new();
+            crate::partition_kway_in(&g, 12, &crate::BisectConfig::default(), &mut ws).unwrap();
+            assert!(ws.initial.cursor_takes > 0, "n = {n}: growing ran");
+            assert_eq!(ws.initial.heap_ops, 0, "n = {n}: growing heap ops");
+            assert_eq!(ws.refine.heap_ops, 0, "n = {n}: FM heap ops");
         }
     }
 

@@ -19,7 +19,7 @@
 
 use crate::balance::BalanceTracker;
 use crate::graph::{EdgeWeight, Graph};
-use crate::heap::VertexHeap;
+use crate::heap::{IdCursor, VertexHeap};
 use crate::workspace::RefineScratch;
 
 /// Configuration for FM refinement.
@@ -182,14 +182,18 @@ fn fm_pass(
     // edge to the other side) can improve the cut, and interior vertices
     // enter the heap when a neighbor moves — the classic FM seeding,
     // which keeps passes cheap on large graphs. An infeasible start
-    // needs arbitrary moves for balance repair, so everything is seeded.
+    // needs arbitrary moves for balance repair, so every vertex is a
+    // candidate: those with an edge are seeded, while the isolated ones,
+    // whose gain is 0 for the whole pass, are walked in id order by the
+    // cursor, exactly where a heap holding them would pop them.
     let seed_all = !start_feasible;
     let mut heap = VertexHeap::new(&mut ws.heap, &mut ws.heap_pos, n);
     heap.seed(
         (0..n)
-            .filter(|&v| seed_all || ext[v] > 0)
+            .filter(|&v| (if seed_all { graph.degree(v) } else { ext[v] }) > 0)
             .map(|v| (gain[v], v)),
     );
+    let mut isolated = IdCursor::new(if seed_all { n } else { 0 });
 
     // Move log for rollback: the moved vertices, in order.
     let log = &mut ws.log;
@@ -206,7 +210,7 @@ fn fm_pass(
     let mut best_key = (f64::INFINITY, EdgeWeight::MAX);
     let mut stall = 0;
 
-    while let Some(v) = heap.pop() {
+    while let Some(v) = isolated.take(&mut heap, |_, u| graph.degree(u) > 0) {
         let w = graph.vertex_weight_slice(v);
         let from = work_side[v];
         // FM balance criterion: a move is allowed if the destination stays
@@ -259,6 +263,8 @@ fn fm_pass(
             }
         }
     }
+
+    ws.heap_ops += heap.ops();
 
     let (best_imb, best_cut) = best_key;
     let improved = best_len > 0
@@ -520,6 +526,116 @@ mod tests {
         (side, cut)
     }
 
+    /// [`fm_pass`] as it was before the isolated-vertex cursor: an
+    /// infeasible start seeds every vertex into the heap, and the heap alone
+    /// picks each move. Kept as the reference the cursor must match byte
+    /// for byte.
+    fn fm_pass_heap_only(
+        graph: &Graph,
+        side: &[u8],
+        start_cut: EdgeWeight,
+        config: &RefineConfig,
+        ws: &mut RefineScratch,
+    ) -> PassOutcome {
+        let n = graph.vertex_count();
+        let mut gain = ws.gain.clone();
+        let mut tracker = BalanceTracker::new(graph, side, config.frac, config.tolerance);
+        let start_feasible = tracker.is_feasible();
+        let start_imb = tracker.imbalance();
+        let mut locked = vec![false; n];
+        let mut heap = VertexHeap::new(&mut ws.heap, &mut ws.heap_pos, n);
+        heap.seed(
+            (0..n)
+                .filter(|&v| !start_feasible || ws.ext[v] > 0)
+                .map(|v| (gain[v], v)),
+        );
+        ws.log.clear();
+        let mut work_side = side.to_vec();
+        let mut work_cut = start_cut;
+        let mut best_len = 0;
+        let mut best_key = (f64::INFINITY, EdgeWeight::MAX);
+        let mut stall = 0;
+        while let Some(v) = heap.pop() {
+            let w = graph.vertex_weight_slice(v);
+            let from = work_side[v];
+            let feasible_move = tracker.move_keeps_feasible_slice(w, from);
+            let from_heavier = tracker.side_load(from) >= tracker.side_load(1 - from) - 1e-9;
+            if !feasible_move && !from_heavier {
+                continue;
+            }
+            locked[v] = true;
+            tracker.apply_move_slice(w, from);
+            work_side[v] = 1 - from;
+            work_cut -= gain[v];
+            for (u, wt) in graph.neighbors(v) {
+                if locked[u] {
+                    continue;
+                }
+                if work_side[u] == work_side[v] {
+                    gain[u] -= 2 * wt;
+                } else {
+                    gain[u] += 2 * wt;
+                }
+                heap.push_or_update(gain[u], u);
+            }
+            gain[v] = -gain[v];
+            ws.log.push(v);
+            let imb = tracker.imbalance();
+            let key = if start_feasible {
+                (imb <= config.tolerance + 1e-9).then_some((0.0, work_cut))
+            } else {
+                Some((imb, work_cut))
+            };
+            match key {
+                Some(key) if key < best_key => {
+                    best_key = key;
+                    best_len = ws.log.len();
+                    stall = 0;
+                }
+                _ => {
+                    stall += 1;
+                    if stall == STALL_MOVES {
+                        break;
+                    }
+                }
+            }
+        }
+        let (best_imb, best_cut) = best_key;
+        let improved = best_len > 0
+            && if start_feasible {
+                best_cut < start_cut
+            } else {
+                best_imb < start_imb - 1e-12
+                    || (best_imb <= start_imb + 1e-12 && best_cut < start_cut)
+            };
+        PassOutcome {
+            best_len,
+            best_cut,
+            improved,
+        }
+    }
+
+    /// The refine loop of [`refine_in_place`] over the heap-only pass.
+    fn refine_heap_only(
+        graph: &Graph,
+        side: &[u8],
+        config: &RefineConfig,
+    ) -> (Vec<u8>, EdgeWeight) {
+        let mut side = side.to_vec();
+        let mut cut = graph.cut(&side);
+        let mut ws = RefineScratch::default();
+        build_gains(graph, &side, &mut ws);
+        for _ in 0..config.max_passes {
+            let pass = fm_pass_heap_only(graph, &side, cut, config, &mut ws);
+            if !pass.improved {
+                break;
+            }
+            commit_prefix(graph, &mut side, pass.best_len, &mut ws);
+            cut = pass.best_cut;
+        }
+        (side, cut)
+    }
+
     /// A graph of `n` vertices with `dims`-dimensional weights and edges
     /// (self-loops dropped, duplicates merged by the builder).
     fn graph_from(
@@ -596,6 +712,44 @@ mod tests {
             gains_into(&g, &carried, &mut gain, &mut ext);
             prop_assert_eq!(&ws.gain, &gain);
             prop_assert_eq!(&ws.ext, &ext);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The isolated-vertex cursor changes no move: `refine_in_place`
+        /// matches the heap-only pass loop in side bytes and cut on edgeless
+        /// graphs, graphs whose edges leave isolated vertices (sparse random
+        /// edges, or edges only among the first half), mixed-sign weights,
+        /// feasible and infeasible starts (one side, a prefix, or random),
+        /// sizes past `STALL_MOVES`, and 1–3 weight dimensions.
+        #[test]
+        fn isolated_cursor_matches_the_heap_only_pass(
+            (dims, weights, edges, side) in (2usize..=200, 1usize..=3).prop_flat_map(|(n, dims)| (
+                Just(dims),
+                proptest::collection::vec(
+                    proptest::collection::vec(prop_oneof![Just(0.0), 0.1f64..5.0], dims),
+                    n,
+                ),
+                prop_oneof![
+                    Just(Vec::new()),
+                    proptest::collection::vec((0..n, 0..n, -20i64..100), 0..n),
+                    proptest::collection::vec((0..n / 2, 0..n / 2, -5i64..40), 0..n * 2),
+                ],
+                prop_oneof![
+                    proptest::collection::vec(0u8..2, n),
+                    (0u8..2).prop_map(move |s| vec![s; n]),
+                    (0..=n).prop_map(move |k| (0..n).map(|v| u8::from(v >= k)).collect()),
+                ],
+            )),
+            frac in 0.2f64..0.8,
+            tolerance in 0.0f64..0.2,
+            max_passes in 1usize..10,
+        ) {
+            let g = graph_from(dims, &weights, &edges);
+            let cfg = RefineConfig { max_passes, frac, tolerance };
+            prop_assert_eq!(refine(&g, &side, &cfg), refine_heap_only(&g, &side, &cfg));
         }
     }
 

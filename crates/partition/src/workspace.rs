@@ -115,6 +115,11 @@ pub(crate) struct RefineScratch {
     /// Packed `(gain, vertex)` ordering keys (see `heap::heap_key`).
     pub(crate) heap: Vec<i128>,
     pub(crate) heap_pos: Vec<usize>,
+    /// Candidate-heap seeds, pushes, updates and pops over every pass this
+    /// scratch has run: a deterministic work count for work locks. Isolated
+    /// vertices never enter the heap (an id cursor walks them), so passes
+    /// over an edgeless graph make none.
+    pub(crate) heap_ops: u64,
     pub(crate) log: Vec<usize>,
     pub(crate) work_side: Vec<u8>,
 }
@@ -131,9 +136,17 @@ pub(crate) struct InitialScratch {
     /// Packed `(gain, vertex)` ordering keys (see `heap::heap_key`).
     pub(crate) heap: Vec<i128>,
     pub(crate) heap_pos: Vec<usize>,
-    /// Candidate-heap pushes, updates and pops over every trial this
-    /// scratch has run: a deterministic work count for scaling locks.
+    /// Candidate-heap pushes, updates and pops (each a touched vertex's
+    /// entry, or its removal when absorbed) over every trial this scratch
+    /// has run: a deterministic work count for scaling locks. Untouched
+    /// gain-0 vertices never enter the heap, so an edgeless graph grows
+    /// with none.
     pub(crate) heap_ops: u64,
+    /// Untouched gain-0 vertices the id cursor absorbed instead of the
+    /// heap, over the same trials. A trial's candidate takes are the
+    /// heap's pops plus these, so `heap_ops + cursor_takes` counts every
+    /// candidate-queue operation once.
+    pub(crate) cursor_takes: u64,
     /// Growing trials run (the all-degenerate fallback's growth included)
     /// over every bisection this scratch has served: fewer than requested
     /// once trials stop at the cut floor.

@@ -52,6 +52,8 @@
 //! call it and keep the whole log, which is what the record-boundary crash
 //! drills cut.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use goldilocks_cluster::{
     recover as cluster_recover, ClusterError, ClusterState, ContainerRuntime, Disposition, Wal,
     WalEvent, WriteFault,
@@ -218,6 +220,13 @@ pub struct PlacementDaemon {
     /// the request path's fields keep their offsets: placed among them it
     /// measured ~10 % slower on the wire-16 benchmark workload.
     session: Session,
+    /// The ledger's index: the slot of each occupied ledger entry, by its
+    /// tenant's seq. Resize, Remove and Query look a tenant up here rather
+    /// than scanning the slots.
+    slot_of: BTreeMap<u64, usize>,
+    /// The empty ledger slots, so an admit takes the lowest one without
+    /// scanning the slots for it.
+    free_slots: BTreeSet<usize>,
 }
 
 impl PlacementDaemon {
@@ -231,6 +240,8 @@ impl PlacementDaemon {
             queue: AdmissionQueue::new(cfg.queue_capacity),
             dedup: DedupWindow::new(cfg.dedup_window, cfg.dedup_clients_max),
             session: Session::new(),
+            slot_of: BTreeMap::new(),
+            free_slots: BTreeSet::new(),
             ladder: Ladder::goldilocks(&cfg.gold),
             cfg,
             tree,
@@ -276,7 +287,7 @@ impl PlacementDaemon {
 
     /// Occupied ledger slots.
     pub fn live(&self) -> u64 {
-        self.slots.iter().filter(|s| s.is_some()).count() as u64
+        self.slot_of.len() as u64
     }
 
     /// Last committed epoch, if any.
@@ -357,20 +368,58 @@ impl PlacementDaemon {
         }
     }
 
+    /// The ledger slot of the tenant admitted as `seq`.
     fn find_slot(&self, seq: u64) -> Option<usize> {
-        self.slots
-            .iter()
-            .position(|t| t.as_ref().is_some_and(|t| t.seq == seq))
+        self.slot_of.get(&seq).copied()
     }
 
-    fn alloc_slot(&mut self) -> usize {
-        match self.slots.iter().position(Option::is_none) {
-            Some(i) => i,
-            None => {
-                self.slots.push(None);
-                self.slots.len() - 1
+    /// The slot the next admit takes: the lowest empty one, or one past the
+    /// end when every slot is occupied.
+    fn lowest_free_slot(&self) -> usize {
+        self.free_slots.first().copied().unwrap_or(self.slots.len())
+    }
+
+    /// Puts `tenant` in the lowest free ledger slot, growing the ledger when
+    /// none is free, and returns the slot.
+    fn occupy_slot(&mut self, tenant: Tenant) -> usize {
+        let slot = self.lowest_free_slot();
+        if !self.free_slots.remove(&slot) {
+            self.slots.push(None);
+        }
+        debug_assert!(
+            !self.slot_of.contains_key(&tenant.seq),
+            "seq admitted twice"
+        );
+        self.slot_of.insert(tenant.seq, slot);
+        if let Some(cell) = self.slots.get_mut(slot) {
+            *cell = Some(tenant);
+        }
+        slot
+    }
+
+    /// Empties ledger slot `slot`, returning the tenant it held.
+    fn vacate_slot(&mut self, slot: usize) -> Option<Tenant> {
+        let tenant = self.slots.get_mut(slot).and_then(Option::take)?;
+        self.slot_of.remove(&tenant.seq);
+        self.free_slots.insert(slot);
+        Some(tenant)
+    }
+
+    /// Adopts a snapshot's ledger and rebuilds its index.
+    fn restore_slots(&mut self, slots: Vec<Option<Tenant>>) {
+        self.slot_of.clear();
+        self.free_slots.clear();
+        for (slot, cell) in slots.iter().enumerate() {
+            match cell {
+                Some(t) => {
+                    self.slot_of.insert(t.seq, slot);
+                }
+                None => {
+                    self.free_slots.insert(slot);
+                }
             }
         }
+        self.slots = slots;
     }
 
     /// Handles one request at virtual tick `now`.
@@ -475,6 +524,7 @@ impl PlacementDaemon {
         Response::Accepted { seq, tag }
     }
 
+    // analyze:hot-path -- a Query answers from the queue and ledger indexes without allocating
     fn answer_query(&self, target_seq: u64, tag: u64) -> Response {
         if self.queue.contains(target_seq) {
             return Response::Queued {
@@ -563,15 +613,12 @@ impl PlacementDaemon {
                 tag,
                 ..
             } => {
-                let slot = self.alloc_slot();
-                if let Some(cell) = self.slots.get_mut(slot) {
-                    *cell = Some(Tenant {
-                        seq: entry.seq,
-                        priority: *priority,
-                        demand: *demand,
-                        tag: *tag,
-                    });
-                }
+                let slot = self.occupy_slot(Tenant {
+                    seq: entry.seq,
+                    priority: *priority,
+                    demand: *demand,
+                    tag: *tag,
+                });
                 Some((slot, entry.seq, *tag))
             }
             Request::Resize {
@@ -606,9 +653,7 @@ impl PlacementDaemon {
             } => {
                 match self.find_slot(*target_seq) {
                     Some(slot) => {
-                        if let Some(cell) = self.slots.get_mut(slot) {
-                            *cell = None;
-                        }
+                        self.vacate_slot(slot);
                         rec.removed += 1;
                         self.push_outcome(Response::Removed {
                             seq: entry.seq,
@@ -839,7 +884,7 @@ impl PlacementDaemon {
             if decided.assignment.get(slot).is_some_and(Option::is_some) {
                 continue;
             }
-            if let Some(t) = self.slots.get_mut(slot).and_then(Option::take) {
+            if let Some(t) = self.vacate_slot(slot) {
                 self.dedup.mark_shed(t.seq);
                 self.push_outcome(Response::Shed {
                     seq: t.seq,
@@ -984,7 +1029,7 @@ impl PlacementDaemon {
                             needs_svc_snap = false;
                             d.next_seq = next_seq;
                             d.bucket.set_tokens(tokens);
-                            d.slots = slots;
+                            d.restore_slots(slots);
                             d.dedup = DedupWindow::restore(
                                 d.cfg.dedup_window,
                                 d.cfg.dedup_clients_max,
@@ -1065,5 +1110,142 @@ impl PlacementDaemon {
             queued: d.queue.len() as u64,
         };
         Ok((d, report))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use goldilocks_topology::builders::single_rack;
+    use proptest::prelude::*;
+
+    /// [`PlacementDaemon::find_slot`] as it was before the index: a scan
+    /// of the ledger for the tenant admitted as `seq`.
+    fn find_slot_scan(d: &PlacementDaemon, seq: u64) -> Option<usize> {
+        d.slots
+            .iter()
+            .position(|t| t.as_ref().is_some_and(|t| t.seq == seq))
+    }
+
+    /// The slot an admit took before the free set: the first empty one, or
+    /// one past the end.
+    fn alloc_slot_scan(d: &PlacementDaemon) -> usize {
+        d.slots
+            .iter()
+            .position(Option::is_none)
+            .unwrap_or(d.slots.len())
+    }
+
+    /// Checks the ledger index and the queue's binary search against
+    /// linear scans, for every seq issued and one past.
+    fn check_against_scans(d: &PlacementDaemon) -> Result<(), TestCaseError> {
+        for seq in 0..=d.next_seq {
+            prop_assert_eq!(d.find_slot(seq), find_slot_scan(d, seq), "seq {}", seq);
+            let queued = d.queue.entries().iter().any(|e| e.seq == seq);
+            prop_assert_eq!(d.queue.contains(seq), queued, "seq {}", seq);
+        }
+        prop_assert_eq!(d.lowest_free_slot(), alloc_slot_scan(d));
+        let occupied = d.slots.iter().filter(|s| s.is_some()).count();
+        prop_assert_eq!(d.live(), occupied as u64);
+        let seqs: Vec<u64> = d.queue.entries().iter().map(|e| e.seq).collect();
+        prop_assert!(seqs.windows(2).all(|w| w[0] < w[1]), "queue {:?}", seqs);
+        Ok(())
+    }
+
+    /// One daemon stimulus of the ledger-index proptest.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// An admit at this priority; `huge` is larger than any server,
+        /// so the planner sheds it.
+        Admit { priority: u8, huge: bool },
+        /// A remove of the tenant admitted as (this modulo seqs issued).
+        Remove(u64),
+        /// An epoch commit.
+        Commit,
+        /// A crash-restart from the whole journal, or (`compact`) from the
+        /// journal compacted to its latest snapshot pair.
+        Recover { compact: bool },
+    }
+
+    /// An admit, one in eight of them huge.
+    fn admit() -> impl Strategy<Value = Op> {
+        (0u8..4, 0u8..8).prop_map(|(priority, h)| Op::Admit {
+            priority,
+            huge: h == 0,
+        })
+    }
+
+    /// Admits twice as likely as each other op.
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            admit(),
+            admit(),
+            (0u64..64).prop_map(Op::Remove),
+            Just(Op::Commit),
+            any::<bool>().prop_map(|compact| Op::Recover { compact }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random admits, removes, commits (planner sheds included: huge
+        /// tenants, and a four-server rack that fills up) and crash
+        /// restarts that replay or restore a snapshot keep the ledger index
+        /// equal to the scans it replaced, and the admission queue in
+        /// ascending seq order.
+        #[test]
+        fn ledger_index_matches_the_scans(ops in proptest::collection::vec(op(), 0..48)) {
+            let cfg = ServiceConfig {
+                queue_capacity: 6,
+                batch_max: 5,
+                epoch_ticks: 1_000,
+                bucket_capacity: 64,
+                tokens_per_epoch: 64,
+                default_deadline_ticks: 10_000,
+                snapshot_every: 2,
+                ..ServiceConfig::default()
+            };
+            let tree = single_rack(4, Resources::new(100.0, 16.0, 1000.0), 1000.0);
+            let mut d = PlacementDaemon::new(cfg.clone(), tree.clone());
+            let (mut epoch, mut tick) = (0u64, 0u64);
+            for op in ops {
+                tick += 1;
+                match op {
+                    Op::Admit { priority, huge } => {
+                        let cpu = if huge { 150.0 } else { 12.0 };
+                        let _ = d.submit(tick, Request::Admit {
+                            priority,
+                            demand: Resources::new(cpu, 1.0, 10.0),
+                            deadline_ticks: 0,
+                            tag: tick,
+                        });
+                    }
+                    Op::Remove(target) => {
+                        let _ = d.submit(tick, Request::Remove {
+                            priority: 3,
+                            target_seq: target % d.next_seq.max(1),
+                            deadline_ticks: 0,
+                            tag: tick,
+                        });
+                    }
+                    Op::Commit => {
+                        tick = tick.max(epoch * cfg.epoch_ticks);
+                        d.commit_epoch(epoch).expect("commit");
+                        epoch += 1;
+                    }
+                    Op::Recover { compact } => {
+                        if compact {
+                            d.compact_journal();
+                        }
+                        let wal = d.wal_bytes().to_vec();
+                        d = PlacementDaemon::recover(cfg.clone(), tree.clone(), &wal)
+                            .expect("recover")
+                            .0;
+                    }
+                }
+                check_against_scans(&d)?;
+            }
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! therefore detected and skipped exactly like a torn WAL tail, and every
 //! message is byte-identical across platforms.
 
-use goldilocks_cluster::{decode_frame, Dec, Enc, FrameScan, WalError};
+use goldilocks_cluster::{decode_frame, frame_into, Dec, Enc, FrameScan, WalError};
 use goldilocks_topology::Resources;
 
 /// Errors from decoding a single protocol message.
@@ -643,7 +643,7 @@ impl Session {
                     response: Response::Malformed { tag: 0 },
                 },
             };
-            self.out.extend_from_slice(&frame(&reply.encode()));
+            frame_into(&mut self.out, &reply.encode());
             answered += 1;
         }
     }

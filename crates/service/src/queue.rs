@@ -58,11 +58,18 @@ pub enum PushOutcome {
 /// Draining order is `(priority desc, seq asc)`; eviction picks the
 /// `(priority asc, seq desc)` extreme — the lowest-priority, youngest
 /// entry — so FIFO fairness holds within a priority class.
+///
+/// Entries keep their insertion order. The daemon pushes seqs as it issues
+/// them, ascending, and every removal keeps the survivors' order, so its
+/// queue is sorted by seq and [`AdmissionQueue::contains`] binary-searches.
 #[derive(Clone, Debug)]
 pub struct AdmissionQueue {
     cap: usize,
     entries: Vec<QueueEntry>,
     depth_high_water: usize,
+    /// Whether `entries` is in ascending seq order: true unless a push
+    /// arrived below a queued seq since the queue was last empty.
+    seq_sorted: bool,
 }
 
 impl AdmissionQueue {
@@ -72,6 +79,7 @@ impl AdmissionQueue {
             cap: cap.max(1),
             entries: Vec::new(),
             depth_high_water: 0,
+            seq_sorted: true,
         }
     }
 
@@ -101,9 +109,14 @@ impl AdmissionQueue {
         self.depth_high_water = self.entries.len();
     }
 
-    /// True when `seq` is currently queued.
+    /// True when `seq` is currently queued: a binary search while the
+    /// entries are in seq order, as the daemon's always are.
     pub fn contains(&self, seq: u64) -> bool {
-        self.entries.iter().any(|e| e.seq == seq)
+        if self.seq_sorted {
+            self.entries.binary_search_by_key(&seq, |e| e.seq).is_ok()
+        } else {
+            self.entries.iter().any(|e| e.seq == seq)
+        }
     }
 
     /// Computes the admission decision for an arrival of the given priority
@@ -128,19 +141,27 @@ impl AdmissionQueue {
     pub fn push(&mut self, entry: QueueEntry) -> PushOutcome {
         match self.plan(entry.priority) {
             PushPlan::Enqueue => {
-                self.entries.push(entry);
+                self.append(entry);
                 self.depth_high_water = self.depth_high_water.max(self.entries.len());
                 PushOutcome::Enqueued
             }
             PushPlan::Evict(victim_seq) => match self.remove_seq(victim_seq) {
                 Some(victim) => {
-                    self.entries.push(entry);
+                    self.append(entry);
                     PushOutcome::Evicted(victim)
                 }
                 None => PushOutcome::Full,
             },
             PushPlan::Reject => PushOutcome::Full,
         }
+    }
+
+    fn append(&mut self, entry: QueueEntry) {
+        self.seq_sorted = match self.entries.last() {
+            Some(last) => self.seq_sorted && last.seq < entry.seq,
+            None => true,
+        };
+        self.entries.push(entry);
     }
 
     /// Removes (and returns) the entry with sequence number `seq`; the rest
@@ -339,6 +360,72 @@ mod tests {
             let kept: Vec<u64> = before.into_iter().filter(|s| q.contains(*s)).collect();
             let survivors: Vec<u64> = q.entries().iter().map(|e| e.seq).collect();
             prop_assert_eq!(survivors, kept, "survivors keep their insertion order");
+        }
+    }
+
+    /// One step of a queue's life in the daemon.
+    #[derive(Clone, Debug)]
+    enum QueueOp {
+        /// An accept: the next seq, at this priority (evicts when full).
+        Push(Priority),
+        /// A batch drain of these queue positions (taken modulo the depth).
+        Drain(Vec<usize>),
+        /// A snapshot restore: a fresh queue refilled in `entries()` order.
+        Restore,
+    }
+
+    proptest! {
+        /// Pushing seqs as the daemon issues them (ascending) keeps the
+        /// queue sorted by seq through evictions, batch drains and snapshot
+        /// restores, so the binary-searched `contains` agrees with a linear
+        /// scan for every seq, queued or not. Unsorted pushes (`ascending` false)
+        /// fall back to the scan and agree too.
+        #[test]
+        fn issued_seqs_stay_sorted_and_contains_is_exact(
+            ops in proptest::collection::vec(
+                prop_oneof![
+                    (0u8..4).prop_map(QueueOp::Push),
+                    proptest::collection::vec(0usize..16, 0..6).prop_map(QueueOp::Drain),
+                    Just(QueueOp::Restore),
+                ],
+                0..80,
+            ),
+            cap in 1usize..10,
+            ascending in any::<bool>(),
+        ) {
+            let mut q = AdmissionQueue::new(cap);
+            let mut next = 0u64;
+            for op in ops {
+                match op {
+                    QueueOp::Push(priority) => {
+                        // Unsorted mode issues seqs backwards from 1000.
+                        let seq = if ascending { next } else { 1_000 - next };
+                        next += 1;
+                        let _ = q.push(entry(seq, priority));
+                    }
+                    QueueOp::Drain(positions) => {
+                        let seqs: Vec<u64> = positions
+                            .iter()
+                            .filter_map(|&i| q.entries().get(i % q.len().max(1)).map(|e| e.seq))
+                            .collect();
+                        q.remove_seqs(&seqs);
+                    }
+                    QueueOp::Restore => {
+                        let mut restored = AdmissionQueue::new(cap);
+                        for e in q.entries() {
+                            let _ = restored.push(e.clone());
+                        }
+                        q = restored;
+                    }
+                }
+                if ascending {
+                    prop_assert!(q.entries().windows(2).all(|w| w[0].seq < w[1].seq));
+                }
+                for seq in (0..next + 2).chain(1_000 - next - 1..=1_000) {
+                    let linear = q.entries().iter().any(|e| e.seq == seq);
+                    prop_assert_eq!(q.contains(seq), linear, "seq {}", seq);
+                }
+            }
         }
     }
 

@@ -59,6 +59,7 @@ pub const REQUIRED_HOT_PATHS: &[(&str, &str)] = &[
     ("crates/partition/src/refine.rs", "refine_in_place"),
     ("crates/workload/src/arena.rs", "set_prefix"),
     ("crates/partition/src/initial.rs", "grow_from"),
+    ("crates/service/src/daemon.rs", "answer_query"),
 ];
 
 /// Ordering-sensitive sink registrations the workspace must carry:

@@ -24,8 +24,9 @@
 //! - [`Wal`] / [`WalEvent`]: a length-prefixed, CRC-32-checksummed
 //!   write-ahead log of every epoch decision, migration unit, and commit,
 //!   with periodic [`ClusterState`] snapshots. Its codec — the
-//!   [`Enc`]/[`Dec`] cursor, the frame writer [`frame_into`] (and
-//!   [`frame`], which returns the frame in a fresh buffer) and the frame
+//!   [`Enc`]/[`Dec`] cursor, one frame writer (which encodes a WAL record
+//!   in place behind its header; [`frame_into`] appends a ready payload
+//!   and [`frame`] returns the frame in a fresh buffer) and the frame
 //!   scanner [`decode_frame`] — is also the serving layer's wire and
 //!   journal codec.
 //! - [`recover`]: snapshot + replayed-suffix state reconstruction,

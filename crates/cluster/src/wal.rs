@@ -10,7 +10,8 @@
 //!
 //! The codec has three parts, and every byte the workspace journals or
 //! sends over a socket passes through them: the [`Enc`]/[`Dec`] cursor,
-//! the frame writer [`frame`], and the frame scanner [`decode_frame`].
+//! the frame writer [`frame_with`] (with its wrappers [`frame_into`] and
+//! [`frame`]), and the frame scanner [`decode_frame`].
 //! The serving layer's protocol messages and service-journal records are
 //! built on the same three, so there is one frame format in the code:
 //!
@@ -205,21 +206,36 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Appends the frame of `payload` (see [`frame`]) to `out`: the one frame
-/// writer. The header and payload land straight in `out`, so a log or an
-/// outbound buffer takes a record without an intermediate framed copy.
+/// Appends the frame of `payload` (see [`frame`]) to `out`, with no
+/// intermediate framed copy.
 pub fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
-    debug_assert!(payload.len() as u64 <= u64::from(u32::MAX));
+    out.reserve(payload.len() + 8);
+    frame_with(out, |e| e.raw(payload));
+}
+
+/// Appends one frame (see [`frame`]) to `out` whose payload `write` encodes
+/// in place: the one frame writer. The 8-byte header is reserved first,
+/// `write` encodes the payload straight behind it, and the header's `len`
+/// and `crc32` are patched in afterwards, so a record lands in a log or an
+/// outbound buffer without a payload buffer of its own.
+pub(crate) fn frame_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Enc)) {
+    let start = out.len();
     // The cursor writes into `out`'s own buffer, swapped in and back out.
     let mut e = Enc::default();
     std::mem::swap(&mut e.buf, out);
-    e.buf.reserve(payload.len() + 8);
+    e.u32(0);
+    e.u32(0);
+    write(&mut e);
+    std::mem::swap(&mut e.buf, out);
+    let body = start + 8;
+    let len = out.len() - body;
+    debug_assert!(len as u64 <= u64::from(u32::MAX));
     // lint:allow(no-lossy-cast-in-codecs) -- frame headers are u32 by format;
     // payloads are single records or messages, far below 4 GiB (debug-asserted)
-    e.u32(payload.len() as u32);
-    e.u32(crc32(payload));
-    e.raw(payload);
-    std::mem::swap(&mut e.buf, out);
+    let len = (len as u32).to_le_bytes();
+    let crc = crc32(&out[body..]).to_le_bytes();
+    out[start..start + 4].copy_from_slice(&len);
+    out[start + 4..body].copy_from_slice(&crc);
 }
 
 /// What [`decode_frame`] found at an offset of a buffer.
@@ -442,8 +458,9 @@ pub enum WalEvent {
 }
 
 impl WalEvent {
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::default();
+    /// Encodes the event's payload onto `e` — in place behind a frame
+    /// header when [`Wal::append`] writes it.
+    fn encode_into(&self, e: &mut Enc) {
         match self {
             WalEvent::EpochBegin { epoch, rng_state } => {
                 e.u8(1);
@@ -460,7 +477,7 @@ impl WalEvent {
                 e.u64(*epoch);
                 e.u8(*fallback);
                 e.u64(*shed);
-                put_placement(&mut e, intended);
+                put_placement(e, intended);
             }
             WalEvent::Unit {
                 container,
@@ -470,14 +487,14 @@ impl WalEvent {
             } => {
                 e.u8(3);
                 e.u64(*container);
-                put_disposition(&mut e, *disposition);
+                put_disposition(e, *disposition);
                 e.u64(*rng_state);
                 // Transition counts travel as u64 like every other count in
                 // this codec (was u32 before PR 10 — a deliberate format
                 // change, bumped in the golden wire schema).
                 e.u64(transitions.len() as u64);
                 for t in transitions {
-                    put_transition(&mut e, t);
+                    put_transition(e, t);
                 }
             }
             WalEvent::EpochCommit {
@@ -488,11 +505,11 @@ impl WalEvent {
                 e.u8(4);
                 e.u64(*epoch);
                 e.u64(*rng_state);
-                put_gate_states(&mut e, gate);
+                put_gate_states(e, gate);
             }
             WalEvent::Snapshot(s) => {
                 e.u8(5);
-                s.encode(&mut e);
+                s.encode(e);
             }
             WalEvent::Service(payload) => {
                 e.u8(6);
@@ -500,7 +517,6 @@ impl WalEvent {
                 e.raw(payload);
             }
         }
-        e.into_bytes()
     }
 
     fn decode(payload: &[u8]) -> Result<WalEvent, WalError> {
@@ -616,8 +632,9 @@ impl Wal {
 
     /// Appends one event as a framed, checksummed record.
     // analyze:sink(wal-append) -- appended bytes must replay byte-identically
+    // analyze:hot-path -- records are encoded in place: an append into spare capacity allocates nothing
     pub fn append(&mut self, ev: &WalEvent) {
-        frame_into(&mut self.buf, &ev.encode());
+        frame_with(&mut self.buf, |e| ev.encode_into(e));
     }
 
     /// Appends one event through an optional injected write fault.
@@ -629,6 +646,7 @@ impl Wal {
     /// [`Wal::decode`]) rolls back to the intact prefix. Either way, no
     /// previously appended record is harmed.
     // analyze:sink(wal-append) -- fault-injected appends share the replay contract
+    // analyze:hot-path -- the serving journal's append: encoded in place, no allocation
     pub fn append_with_fault(
         &mut self,
         ev: &WalEvent,
@@ -638,7 +656,7 @@ impl Wal {
             return Err(WalFull);
         }
         let start = self.buf.len();
-        frame_into(&mut self.buf, &ev.encode());
+        frame_with(&mut self.buf, |e| ev.encode_into(e));
         match fault {
             // Only the first `n` bytes of the frame land: a torn tail.
             Some(WriteFault::ShortWrite(n)) if start + n < self.buf.len() => {
@@ -928,6 +946,133 @@ mod tests {
         #[test]
         fn table_crc32_matches_bitwise(data in proptest::collection::vec(any::<u8>(), 0..512)) {
             prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
+        }
+    }
+
+    /// A random event of any variant, every collection possibly empty.
+    fn random_event(rng: &mut goldilocks_rng::SplitMix64) -> WalEvent {
+        let server = |rng: &mut goldilocks_rng::SplitMix64| ServerId(rng.below(16) as usize);
+        let placement = |rng: &mut goldilocks_rng::SplitMix64| Placement {
+            assignment: (0..rng.below(6))
+                .map(|_| (rng.below(4) > 0).then(|| ServerId(rng.below(16) as usize)))
+                .collect(),
+        };
+        let gate = |rng: &mut goldilocks_rng::SplitMix64| -> Vec<PowerState> {
+            (0..rng.below(5))
+                .map(|_| match rng.below(3) {
+                    0 => PowerState::Off,
+                    1 => PowerState::Booting {
+                        remaining_s: rng.below(300) as u32,
+                    },
+                    _ => PowerState::On,
+                })
+                .collect()
+        };
+        match rng.below(6) {
+            0 => WalEvent::EpochBegin {
+                epoch: rng.next_u64(),
+                rng_state: rng.next_u64(),
+            },
+            1 => WalEvent::Decision {
+                epoch: rng.below(1000),
+                fallback: rng.below(5) as u8,
+                shed: rng.below(10),
+                intended: placement(rng),
+            },
+            2 => WalEvent::Unit {
+                container: rng.next_u64(),
+                disposition: Disposition::Repair,
+                rng_state: rng.next_u64(),
+                transitions: (0..rng.below(4))
+                    .map(|_| {
+                        let container = rng.below(64) as usize;
+                        match rng.below(3) {
+                            0 => Transition::Start {
+                                container,
+                                on: server(rng),
+                            },
+                            1 => Transition::Migrate {
+                                container,
+                                from: server(rng),
+                                to: server(rng),
+                            },
+                            _ => Transition::Stop {
+                                container,
+                                on: server(rng),
+                            },
+                        }
+                    })
+                    .collect(),
+            },
+            3 => WalEvent::EpochCommit {
+                epoch: rng.below(1000),
+                rng_state: rng.next_u64(),
+                gate: gate(rng),
+            },
+            4 => WalEvent::Snapshot(ClusterState {
+                committed_epoch: (rng.below(2) == 0).then(|| rng.below(1000)),
+                intended: placement(rng),
+                actual: (0..rng.below(4))
+                    .map(|_| (rng.below(64), rng.below(16)))
+                    .collect(),
+                gate: (rng.below(2) == 0).then(|| gate(rng)),
+                rng_state: (rng.below(2) == 0).then(|| rng.next_u64()),
+            }),
+            _ => WalEvent::Service((0..rng.below(40)).map(|_| rng.below(256) as u8).collect()),
+        }
+    }
+
+    /// The record of `ev` built the two-step way: the payload encoded into
+    /// a buffer of its own, then the header written by hand in front of it.
+    fn two_step_frame(ev: &WalEvent) -> Vec<u8> {
+        let mut e = Enc::default();
+        ev.encode_into(&mut e);
+        let payload = e.into_bytes();
+        let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&crc32(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Framing in place writes the bytes the two-step framing wrote,
+        /// after any log prefix, for every variant; a short write leaves
+        /// exactly the frame's first `n` bytes (the whole frame, and no
+        /// error, once `n` covers it), and a full disk leaves the log as it
+        /// was.
+        #[test]
+        fn in_place_records_match_the_two_step_frame(
+            seed in any::<u64>(),
+            events in 1usize..8,
+            cut in any::<u64>(),
+        ) {
+            let mut rng = goldilocks_rng::SplitMix64::seed_from_u64(seed);
+            let mut wal = Wal::new();
+            for _ in 0..events {
+                let ev = random_event(&mut rng);
+                let expected = two_step_frame(&ev);
+                let prefix = wal.bytes().to_vec();
+
+                let n = (cut % (expected.len() as u64 + 2)) as usize;
+                let mut torn = wal.clone();
+                let res = torn.append_with_fault(&ev, Some(WriteFault::ShortWrite(n)));
+                prop_assert_eq!(res.is_err(), n < expected.len());
+                prop_assert_eq!(&torn.bytes()[..prefix.len()], &prefix[..]);
+                prop_assert_eq!(&torn.bytes()[prefix.len()..], &expected[..n.min(expected.len())]);
+
+                let mut full = wal.clone();
+                prop_assert!(full.append_with_fault(&ev, Some(WriteFault::DiskFull)).is_err());
+                prop_assert_eq!(full.bytes(), &prefix[..]);
+
+                wal.append(&ev);
+                prop_assert_eq!(&wal.bytes()[..prefix.len()], &prefix[..]);
+                prop_assert_eq!(&wal.bytes()[prefix.len()..], &expected[..]);
+                let mut framed = prefix.clone();
+                frame_into(&mut framed, &expected[8..]);
+                prop_assert_eq!(&framed[..], wal.bytes());
+            }
         }
     }
 

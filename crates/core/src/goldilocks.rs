@@ -64,6 +64,30 @@ impl Goldilocks {
         workload: &Workload,
         tree: &DcTree,
     ) -> Result<(Placement, ProvisionDetails), PlaceError> {
+        let mut details = ProvisionDetails {
+            tree: PartitionTree {
+                vertices: Vec::new(),
+                weight: VertexWeight::zeros(3),
+                children: Vec::new(),
+                depth: 0,
+            },
+            group_servers: Vec::new(),
+            group_of_container: Vec::new(),
+        };
+        let placement = self.assign(workload, tree, Some(&mut details))?;
+        Ok((placement, details))
+    }
+
+    /// Partitions the container graph into groups and assigns them to
+    /// servers. `details`, when given, receives the partition tree, the
+    /// group servers and each container's group; [`Placer::place`] passes
+    /// `None` and builds none of them.
+    fn assign(
+        &mut self,
+        workload: &Workload,
+        tree: &DcTree,
+        mut details: Option<&mut ProvisionDetails>,
+    ) -> Result<Placement, PlaceError> {
         let healthy = tree.healthy_servers();
         if healthy.is_empty() {
             return Err(PlaceError::Infeasible {
@@ -71,19 +95,7 @@ impl Goldilocks {
             });
         }
         if workload.is_empty() {
-            return Ok((
-                Placement::unplaced(0),
-                ProvisionDetails {
-                    tree: PartitionTree {
-                        vertices: Vec::new(),
-                        weight: VertexWeight::zeros(3),
-                        children: Vec::new(),
-                        depth: 0,
-                    },
-                    group_servers: Vec::new(),
-                    group_of_container: Vec::new(),
-                },
-            ));
+            return Ok(Placement::unplaced(0));
         }
 
         let cap_weight = group_cap(&self.config, tree, &healthy)?;
@@ -117,12 +129,15 @@ impl Goldilocks {
         }
 
         let mut placement = Placement::unplaced(workload.len());
-        let mut group_servers = Vec::with_capacity(groups.len());
-        let mut group_of_container = vec![usize::MAX; workload.len()];
-        let mut leaves = Vec::with_capacity(groups.len());
+        if let Some(d) = details.as_deref_mut() {
+            d.group_servers = Vec::with_capacity(groups.len());
+            d.group_of_container = vec![usize::MAX; workload.len()];
+            d.tree.children = Vec::with_capacity(groups.len());
+        }
+        let mut weight = VertexWeight::zeros(graph.dims());
         let mut next_server = 0usize;
         for (g, group) in groups.iter().enumerate() {
-            let weight = graph.subset_weight(group);
+            graph.subset_weight_into(group, &mut weight);
             // Find the next DFS server whose (individual) capped capacity
             // hosts this group — with homogeneous servers this is always the
             // immediate next one.
@@ -131,8 +146,7 @@ impl Goldilocks {
                 let s = dfs[next_server];
                 next_server += 1;
                 let scap = self.config.cap_resources(&tree.server(s).resources);
-                let scap_w = VertexWeight::new(scap.as_array().to_vec());
-                if weight.fits_within(&scap_w) {
+                if weight.fits_within_slice(&scap.as_array()) {
                     chosen = Some(s);
                     break;
                 }
@@ -143,31 +157,26 @@ impl Goldilocks {
             })?;
             for &v in group {
                 placement.assignment[v] = Some(s);
-                group_of_container[v] = g;
             }
-            group_servers.push(s);
-            leaves.push(PartitionTree {
-                vertices: group.clone(),
-                weight,
-                children: Vec::new(),
-                depth: 1,
-            });
+            if let Some(d) = details.as_deref_mut() {
+                for &v in group {
+                    d.group_of_container[v] = g;
+                }
+                d.group_servers.push(s);
+                d.tree.children.push(PartitionTree {
+                    vertices: group.clone(),
+                    weight: weight.clone(),
+                    children: Vec::new(),
+                    depth: 1,
+                });
+            }
         }
 
-        let part_tree = PartitionTree {
-            vertices: (0..workload.len()).collect(),
-            weight: graph.total_vertex_weight(),
-            children: leaves,
-            depth: 0,
-        };
-        Ok((
-            placement,
-            ProvisionDetails {
-                tree: part_tree,
-                group_servers,
-                group_of_container,
-            },
-        ))
+        if let Some(d) = details {
+            d.tree.vertices = (0..workload.len()).collect();
+            d.tree.weight = graph.total_vertex_weight();
+        }
+        Ok(placement)
     }
 }
 
@@ -177,7 +186,7 @@ impl Placer for Goldilocks {
     }
 
     fn place(&mut self, workload: &Workload, tree: &DcTree) -> Result<Placement, PlaceError> {
-        self.place_with_details(workload, tree).map(|(p, _)| p)
+        self.assign(workload, tree, None)
     }
 }
 
@@ -313,6 +322,31 @@ mod tests {
         for (c, &grp) in d.group_of_container.iter().enumerate() {
             assert!(grp < d.group_servers.len());
             assert_eq!(p.assignment[c], Some(d.group_servers[grp]));
+        }
+    }
+
+    /// `place` builds no details but places exactly as
+    /// `place_with_details`, whose leaves weigh their groups and cover
+    /// every container once.
+    #[test]
+    fn place_matches_place_with_details() {
+        let tree = testbed_16();
+        for (n, seed) in [(24, 1), (48, 3), (96, 7)] {
+            let w = twitter_caching(n, seed);
+            let p = Goldilocks::new().place(&w, &tree).unwrap();
+            let (q, d) = Goldilocks::new().place_with_details(&w, &tree).unwrap();
+            assert_eq!(p, q, "n = {n}");
+            assert_eq!(d.tree.vertices, (0..w.len()).collect::<Vec<_>>());
+            let graph = w.container_graph(0).unwrap();
+            let mut covered = 0;
+            for (g, leaf) in d.tree.children.iter().enumerate() {
+                assert_eq!(leaf.weight, graph.subset_weight(&leaf.vertices));
+                for &v in &leaf.vertices {
+                    assert_eq!(d.group_of_container[v], g);
+                }
+                covered += leaf.vertices.len();
+            }
+            assert_eq!(covered, w.len());
         }
     }
 

@@ -109,11 +109,12 @@ fn repair_overflows(graph: &Graph, cap: &VertexWeight, groups: &mut [Vec<usize>]
             budget -= 1;
             // Smallest vertex of the group (least locality damage, most
             // likely to fit elsewhere).
-            let Some((pos, &v)) = groups[g].iter().enumerate().min_by(|(_, a), (_, b)| {
-                let ra = graph.vertex_weight(**a).max_ratio(cap);
-                let rb = graph.vertex_weight(**b).max_ratio(cap);
-                ra.total_cmp(&rb)
-            }) else {
+            let ratio = |v: usize| VertexWeight::max_ratio_slice(graph.vertex_weight_slice(v), cap);
+            let Some((pos, &v)) = groups[g]
+                .iter()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| ratio(**a).total_cmp(&ratio(**b)))
+            else {
                 break;
             };
             let vw = graph.vertex_weight(v);

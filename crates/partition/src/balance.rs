@@ -46,20 +46,10 @@ impl BalanceTracker {
         let dims = graph.dims();
         let mut side0 = VertexWeight::zeros(dims);
         let mut side1 = VertexWeight::zeros(dims);
-        for (v, sv) in side.iter().enumerate().take(graph.vertex_count()) {
-            let w = graph.vertex_weight_slice(v);
-            let dst = if *sv == 0 { &mut side0 } else { &mut side1 };
-            for (d, c) in w.iter().enumerate() {
-                dst.0[d] += c;
-            }
-        }
+        add_side_weights(graph, side, &mut side0.0, &mut side1.0);
         let total = graph.total_vertex_weight();
         let mut derived = Vec::with_capacity(4 * dims);
-        for f in [frac, 1.0 - frac] {
-            for d in 0..dims {
-                derived.push(total.component(d) * f);
-            }
-        }
+        side_targets_into(&total.0, frac, &mut derived);
         for s in 0..2 {
             for d in 0..dims {
                 derived.push(derived[s * dims + d] * (1.0 + tolerance));
@@ -126,26 +116,17 @@ impl BalanceTracker {
     /// Maximum relative imbalance across both sides and all dimensions:
     /// `max(side_weight / target) - 1`, clamped at 0 from below.
     pub(crate) fn imbalance(&self) -> f64 {
-        let mut worst: f64 = 0.0;
-        for d in 0..self.total.dims() {
-            if self.total.component(d) <= 0.0 {
-                continue;
-            }
-            let t0 = self.target(0, d);
-            let t1 = self.target(1, d);
-            if t0 > 0.0 {
-                worst = worst.max(self.side0.component(d) / t0 - 1.0);
-            }
-            if t1 > 0.0 {
-                worst = worst.max(self.side1.component(d) / t1 - 1.0);
-            }
-        }
-        worst.max(0.0)
+        imbalance_of(
+            &self.total.0,
+            &self.side0.0,
+            &self.side1.0,
+            &self.derived[..2 * self.total.dims()],
+        )
     }
 
     /// Whether the current assignment is within tolerance.
     pub(crate) fn is_feasible(&self) -> bool {
-        self.imbalance() <= self.tolerance + 1e-9
+        within_tolerance(self.imbalance(), self.tolerance)
     }
 
     /// Relative load of side `s`: the worst per-dimension ratio of its
@@ -182,6 +163,67 @@ impl BalanceTracker {
         }
         worst
     }
+}
+
+/// Adds each vertex's weight to its side's sum, in vertex order: side 0's
+/// into `sum0`, side 1's into `sum1` (each `dims` long). Returns how many
+/// vertices are on side 1. [`BalanceTracker::new`] and the growing trial
+/// loop sum sides with this one loop, so their sums are bit-identical.
+pub(crate) fn add_side_weights(
+    graph: &Graph,
+    side: &[u8],
+    sum0: &mut [f64],
+    sum1: &mut [f64],
+) -> usize {
+    let mut ones = 0;
+    for (v, sv) in side.iter().enumerate().take(graph.vertex_count()) {
+        let dst = if *sv == 0 {
+            &mut *sum0
+        } else {
+            ones += 1;
+            &mut *sum1
+        };
+        for (d, c) in graph.vertex_weight_slice(v).iter().enumerate() {
+            dst[d] += c;
+        }
+    }
+    ones
+}
+
+/// Writes the two sides' per-dimension weight targets into `out`:
+/// `[total * frac | total * (1 - frac)]`.
+pub(crate) fn side_targets_into(total: &[f64], frac: f64, out: &mut Vec<f64>) {
+    out.clear();
+    for f in [frac, 1.0 - frac] {
+        out.extend(total.iter().map(|t| t * f));
+    }
+}
+
+/// Maximum relative imbalance across both sides and all dimensions with a
+/// positive total: `max(side_weight / target) - 1`, clamped at 0 from
+/// below. `targets` is laid out as [`side_targets_into`] writes it.
+pub(crate) fn imbalance_of(total: &[f64], sum0: &[f64], sum1: &[f64], targets: &[f64]) -> f64 {
+    let dims = total.len();
+    let mut worst: f64 = 0.0;
+    for d in 0..dims {
+        if total[d] <= 0.0 {
+            continue;
+        }
+        let t0 = targets[d];
+        let t1 = targets[dims + d];
+        if t0 > 0.0 {
+            worst = worst.max(sum0[d] / t0 - 1.0);
+        }
+        if t1 > 0.0 {
+            worst = worst.max(sum1[d] / t1 - 1.0);
+        }
+    }
+    worst.max(0.0)
+}
+
+/// Whether an [`imbalance_of`] value is within `tolerance`.
+pub(crate) fn within_tolerance(imbalance: f64, tolerance: f64) -> bool {
+    imbalance <= tolerance + 1e-9
 }
 
 #[cfg(test)]

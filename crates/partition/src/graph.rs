@@ -63,11 +63,17 @@ impl VertexWeight {
     /// True when every component of `self` is `<=` the matching component of
     /// `other` (within a small epsilon to absorb float error).
     pub fn fits_within(&self, other: &VertexWeight) -> bool {
-        self.0.len() == other.0.len()
+        self.fits_within_slice(&other.0)
+    }
+
+    /// [`VertexWeight::fits_within`] against raw components, so a caller
+    /// holding a capacity as an array checks it without building a weight.
+    pub fn fits_within_slice(&self, cap: &[f64]) -> bool {
+        self.0.len() == cap.len()
             && self
                 .0
                 .iter()
-                .zip(&other.0)
+                .zip(cap)
                 .all(|(a, b)| *a <= *b + Self::FIT_EPS)
     }
 
@@ -99,7 +105,14 @@ impl VertexWeight {
     /// dimensions; used for multi-constraint balance checks. Dimensions where
     /// the reference is zero are skipped.
     pub fn max_ratio(&self, reference: &VertexWeight) -> f64 {
-        self.0
+        Self::max_ratio_slice(&self.0, reference)
+    }
+
+    /// [`VertexWeight::max_ratio`] of raw components (as
+    /// [`Graph::vertex_weight_slice`] returns them), with the same float
+    /// operations in the same order.
+    pub fn max_ratio_slice(components: &[f64], reference: &VertexWeight) -> f64 {
+        components
             .iter()
             .zip(&reference.0)
             .filter(|(_, r)| **r > 0.0)
@@ -307,12 +320,20 @@ impl Graph {
     /// Aggregate weight of an arbitrary vertex subset.
     pub fn subset_weight(&self, vertices: &[VertexId]) -> VertexWeight {
         let mut total = VertexWeight::zeros(self.dims);
+        self.subset_weight_into(vertices, &mut total);
+        total
+    }
+
+    /// [`Graph::subset_weight`] written into `out`, whose buffer is reused:
+    /// the same sums in the same order, without a new weight per call.
+    pub fn subset_weight_into(&self, vertices: &[VertexId], out: &mut VertexWeight) {
+        out.0.clear();
+        out.0.resize(self.dims, 0.0);
         for &v in vertices {
             for d in 0..self.dims {
-                total.0[d] += self.vwgt[v * self.dims + d];
+                out.0[d] += self.vwgt[v * self.dims + d];
             }
         }
-        total
     }
 
     /// The edge cut of a 2-way assignment: the sum of weights of edges whose

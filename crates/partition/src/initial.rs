@@ -31,7 +31,7 @@
 
 use goldilocks_rng::SplitMix64;
 
-use crate::balance::BalanceTracker;
+use crate::balance::{add_side_weights, imbalance_of, side_targets_into, within_tolerance};
 use crate::graph::{EdgeWeight, Graph};
 use crate::heap::{IdCursor, VertexHeap};
 use crate::workspace::InitialScratch;
@@ -95,7 +95,7 @@ fn grow_from(graph: &Graph, seed: usize, frac: f64, ws: &mut InitialScratch) {
         heap_pos,
         heap_ops,
         cursor_takes,
-        trials: _,
+        ..
     } = ws;
     // Every vertex but the seed starts outside with gain 0. The heap holds
     // the outside vertices an absorption has touched; the cursor serves the
@@ -132,7 +132,7 @@ fn grow_from(graph: &Graph, seed: usize, frac: f64, ws: &mut InitialScratch) {
 /// with the smallest cut among balance-feasible ones (or the
 /// least-imbalanced one if none is feasible), stopping at the first
 /// feasible trial that cuts exactly [`Graph::cut_floor`]. Trials reuse one
-/// set of scratch buffers; only the winning assignments are cloned out.
+/// set of scratch buffers; only the returned assignment is allocated.
 pub(crate) fn greedy_graph_growing_in(
     graph: &Graph,
     frac: f64,
@@ -156,58 +156,16 @@ fn best_of_trials(
     ws: &mut InitialScratch,
     grow: fn(&Graph, usize, f64, &mut InitialScratch),
 ) -> Bisection {
-    let n = graph.vertex_count();
-    assert!(n >= 2, "bisection needs at least two vertices");
-    let floor = graph.cut_floor();
-    let mut best_feasible: Option<Bisection> = None;
-    let mut best_any: Option<(Bisection, f64)> = None;
-
-    for _ in 0..trials.max(1) {
-        let seed = rng.range(0..n);
-        grow(graph, seed, frac, ws);
-        ws.trials += 1;
-        let side = &ws.side;
-        // Degenerate growth (all vertices on one side) is useless.
-        let ones = side.iter().filter(|s| **s == 1).count();
-        if ones == 0 || ones == n {
-            continue;
-        }
-        let cut = graph.cut(side);
-        let tracker = BalanceTracker::new(graph, side, frac, tolerance);
-        let imb = tracker.imbalance();
-        if tracker.is_feasible() {
-            match &best_feasible {
-                Some(b) if b.cut <= cut => {}
-                _ => {
-                    best_feasible = Some(Bisection {
-                        side: side.clone(),
-                        cut,
-                    })
-                }
-            }
-            // No cut is below the floor, and a later trial replaces this
-            // one only with a strictly smaller feasible cut.
-            if cut == floor {
-                break;
-            }
-        }
-        match &best_any {
-            Some((_, bi)) if *bi <= imb => {}
-            _ => {
-                best_any = Some((
-                    Bisection {
-                        side: side.clone(),
-                        cut,
-                    },
-                    imb,
-                ))
-            }
-        }
-    }
-
-    best_feasible
-        .or_else(|| best_any.map(|(b, _)| b))
-        .unwrap_or_else(|| {
+    assert!(
+        graph.vertex_count() >= 2,
+        "bisection needs at least two vertices"
+    );
+    match run_trials(graph, frac, tolerance, trials, rng, ws, grow) {
+        Some(cut) => Bisection {
+            side: ws.winner.clone(),
+            cut,
+        },
+        None => {
             // All trials degenerated (e.g. edgeless graph grown greedily).
             // Fall back to a weight-greedy split: assign vertices to side 0
             // until its target is met.
@@ -218,12 +176,81 @@ fn best_of_trials(
                 side: ws.side.clone(),
                 cut,
             }
-        })
+        }
+    }
+}
+
+/// Runs the trials of [`best_of_trials`] and leaves the winner in
+/// `ws.winner`, returning its cut (`None` when every trial degenerated).
+/// Each trial is judged from side sums kept in the scratch, with
+/// [`BalanceTracker`](crate::balance::BalanceTracker)'s arithmetic, and a
+/// new leader is copied into one of two scratch buffers, so warm trials
+/// allocate nothing.
+// analyze:hot-path -- the growing trial loop: warm trials judge and keep winners in scratch
+fn run_trials(
+    graph: &Graph,
+    frac: f64,
+    tolerance: f64,
+    trials: usize,
+    rng: &mut SplitMix64,
+    ws: &mut InitialScratch,
+    grow: fn(&Graph, usize, f64, &mut InitialScratch),
+) -> Option<EdgeWeight> {
+    let n = graph.vertex_count();
+    let dims = graph.dims();
+    let floor = graph.cut_floor();
+    let total = graph.total_vertex_weight_slice();
+    side_targets_into(total, frac, &mut ws.side_targets);
+    // The cuts (and imbalance) of the assignments in `ws.winner` and
+    // `ws.least_imbalanced`.
+    let mut best_feasible: Option<EdgeWeight> = None;
+    let mut best_any: Option<(EdgeWeight, f64)> = None;
+
+    for _ in 0..trials.max(1) {
+        let seed = rng.range(0..n);
+        grow(graph, seed, frac, ws);
+        ws.trials += 1;
+        ws.sums.clear();
+        ws.sums.resize(2 * dims, 0.0);
+        let (sum0, sum1) = ws.sums.split_at_mut(dims);
+        let ones = add_side_weights(graph, &ws.side, sum0, sum1);
+        // Degenerate growth (all vertices on one side) is useless.
+        if ones == 0 || ones == n {
+            continue;
+        }
+        let cut = graph.cut(&ws.side);
+        let imb = imbalance_of(total, sum0, sum1, &ws.side_targets);
+        if within_tolerance(imb, tolerance) {
+            if !matches!(best_feasible, Some(b) if b <= cut) {
+                ws.winner.clone_from(&ws.side);
+                best_feasible = Some(cut);
+            }
+            // No cut is below the floor, and a later trial replaces this
+            // one only with a strictly smaller feasible cut.
+            if cut == floor {
+                break;
+            }
+        }
+        if !matches!(best_any, Some((_, bi)) if bi <= imb) {
+            ws.least_imbalanced.clone_from(&ws.side);
+            best_any = Some((cut, imb));
+        }
+    }
+
+    match (best_feasible, best_any) {
+        (Some(cut), _) => Some(cut),
+        (None, Some((cut, _))) => {
+            std::mem::swap(&mut ws.winner, &mut ws.least_imbalanced);
+            Some(cut)
+        }
+        (None, None) => None,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::balance::BalanceTracker;
     use crate::graph::{GraphBuilder, VertexWeight};
     use proptest::prelude::*;
 

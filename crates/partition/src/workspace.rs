@@ -151,6 +151,15 @@ pub(crate) struct InitialScratch {
     /// over every bisection this scratch has served: fewer than requested
     /// once trials stop at the cut floor.
     pub(crate) trials: u64,
+    /// The trial being judged: its side weights, `[side 0 | side 1]`.
+    pub(crate) sums: Vec<f64>,
+    /// The bisection's side targets, `[side 0 | side 1]`.
+    pub(crate) side_targets: Vec<f64>,
+    /// The best feasible trial's sides so far; after the trials, the
+    /// winner's.
+    pub(crate) winner: Vec<u8>,
+    /// The least-imbalanced trial's sides so far.
+    pub(crate) least_imbalanced: Vec<u8>,
 }
 
 /// All scratch buffers the multilevel partitioner needs, bundled so one

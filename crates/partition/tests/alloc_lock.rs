@@ -13,7 +13,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use goldilocks_partition::{
-    partition_kway_in, BisectConfig, GraphBuilder, PartitionWorkspace, VertexWeight,
+    multilevel_bisect_in, partition_kway_in, BisectConfig, GraphBuilder, PartitionWorkspace,
+    VertexWeight,
 };
 use goldilocks_rng::SplitMix64;
 
@@ -152,10 +153,12 @@ fn edgeless_graph(n: usize) -> goldilocks_partition::Graph {
 
 /// A warm k-way pass over an edgeless graph allocates only its outputs,
 /// whose count follows the recursion (k − 1 bisections), not the vertex
-/// count: observed 577 allocations at n = 2 000 and 661 at 8 000.
+/// count: observed 326 allocations at n = 2 000 and 406 at 8 000 (577 and
+/// 661 while growing trials built a balance tracker each and cloned every
+/// new leader).
 #[test]
 fn warm_edgeless_partition_kway_allocation_lock() {
-    const CEILING: u64 = 2_000;
+    const CEILING: u64 = 500;
     let cfg = BisectConfig::default();
     let mut counts = Vec::new();
     for n in [2_000, 8_000] {
@@ -178,5 +181,39 @@ fn warm_edgeless_partition_kway_allocation_lock() {
         2 * large <= 3 * small,
         "4x the vertices took {small} -> {large} warm allocations; \
          per-vertex allocation crept into the hot path"
+    );
+}
+
+/// A warm bisection that neither coarsens nor refines is its greedy-growing
+/// trials alone, and they allocate exactly once — the side they return —
+/// however many trials run: each trial is judged from side sums kept in
+/// the scratch, and each new leader is copied into a scratch buffer.
+#[test]
+fn growing_trials_allocate_only_the_returned_side() {
+    // A ring, so every bisection cuts at least two edges, above the cut
+    // floor of 0: every requested trial runs.
+    let graph = fixed_graph();
+    let mut counts = Vec::new();
+    for trials in [1, 4, 16, 64] {
+        let cfg = BisectConfig {
+            coarsen_to: usize::MAX,
+            initial_trials: trials,
+            refine_passes: 0,
+            ..BisectConfig::default()
+        };
+        let mut ws = PartitionWorkspace::new();
+        let cold = multilevel_bisect_in(&graph, 0.5, &cfg, &mut ws);
+        let before = alloc_count();
+        let warm = multilevel_bisect_in(&graph, 0.5, &cfg, &mut ws);
+        counts.push(alloc_count() - before);
+        assert_eq!(
+            cold.side, warm.side,
+            "workspace reuse must not change the sides"
+        );
+    }
+    assert_eq!(
+        counts,
+        [1, 1, 1, 1],
+        "warm growing at 1, 4, 16 and 64 trials allocated {counts:?} times"
     );
 }

@@ -227,6 +227,16 @@ pub struct PlacementDaemon {
     /// The empty ledger slots, so an admit takes the lowest one without
     /// scanning the slots for it.
     free_slots: BTreeSet<usize>,
+    /// The occupied slots in shed order, as `(u8::MAX - priority, seq,
+    /// slot, demand)`: scratch for [`PlacementDaemon::refill_plan`], kept
+    /// across commits so a commit sorts the ledger without allocating.
+    plan_order: Vec<(u8, u64, usize, Resources)>,
+    /// The planning workload, refilled in place each commit: its entries
+    /// are rewritten rather than rebuilt, so a commit allocates no
+    /// per-tenant container name.
+    plan: Workload,
+    /// The planning workload's index → slot map, refilled with it.
+    plan_slots: Vec<usize>,
 }
 
 impl PlacementDaemon {
@@ -242,6 +252,9 @@ impl PlacementDaemon {
             session: Session::new(),
             slot_of: BTreeMap::new(),
             free_slots: BTreeSet::new(),
+            plan_order: Vec::new(),
+            plan: Workload::new(),
+            plan_slots: Vec::new(),
             ladder: Ladder::goldilocks(&cfg.gold),
             cfg,
             tree,
@@ -674,25 +687,33 @@ impl PlacementDaemon {
         }
     }
 
-    /// Builds the planning workload over occupied slots in shed order
+    /// Refills the planning workload over occupied slots in shed order
     /// (priority desc, seq asc — the ladder sheds from the tail, i.e. the
-    /// lowest-priority, youngest tenants first). Returns the workload and
-    /// the workload-index → slot map.
-    fn planning_workload(&self) -> (Workload, Vec<usize>) {
-        let mut occupied: Vec<(usize, &Tenant)> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.as_ref().map(|t| (i, t)))
-            .collect();
-        occupied.sort_by_key(|(_, t)| (u64::from(u8::MAX - t.priority), t.seq));
-        let mut w = Workload::new();
-        let mut index_map = Vec::with_capacity(occupied.len());
-        for (slot, t) in occupied {
-            w.add_container("tenant", t.demand, None);
-            index_map.push(slot);
+    /// lowest-priority, youngest tenants first), and its workload-index →
+    /// slot map. Every container reads `tenant` with no replica set, so an
+    /// entry kept from the last commit needs only its demand rewritten.
+    fn refill_plan(&mut self) {
+        self.plan_order.clear();
+        self.plan_order
+            .extend(self.slots.iter().enumerate().filter_map(|(slot, t)| {
+                t.as_ref()
+                    .map(|t| (u8::MAX - t.priority, t.seq, slot, t.demand))
+            }));
+        // Seqs are unique, so the unstable sort orders exactly as a stable
+        // sort by (priority desc, seq asc) does, without a merge buffer.
+        self.plan_order
+            .sort_unstable_by_key(|&(priority, seq, ..)| (priority, seq));
+        self.plan.containers.truncate(self.plan_order.len());
+        self.plan_slots.clear();
+        for (i, &(.., slot, demand)) in self.plan_order.iter().enumerate() {
+            match self.plan.containers.get_mut(i) {
+                Some(c) => c.demand = demand,
+                None => {
+                    self.plan.add_container("tenant", demand, None);
+                }
+            }
+            self.plan_slots.push(slot);
         }
-        (w, index_map)
     }
 
     /// Commits epoch `epoch`: drain → expire → apply → plan → reconcile →
@@ -788,8 +809,8 @@ impl PlacementDaemon {
     /// Runs the degradation ladder over the current ledger and maps the
     /// result back to slot indexing.
     fn plan_placement(&mut self) -> (Placement, u8, usize) {
-        let (w, index_map) = self.planning_workload();
-        if w.is_empty() {
+        self.refill_plan();
+        if self.plan.is_empty() {
             return (
                 Placement {
                     assignment: vec![None; self.slots.len()],
@@ -798,9 +819,9 @@ impl PlacementDaemon {
                 0,
             );
         }
-        let (p, rung, shed) = self.ladder.place(&w, &self.tree);
+        let (p, rung, shed) = self.ladder.place(&self.plan, &self.tree);
         let mut assignment = vec![None; self.slots.len()];
-        for (i, slot) in index_map.iter().enumerate() {
+        for (i, slot) in self.plan_slots.iter().enumerate() {
             if let (Some(a), Some(cell)) = (p.assignment.get(i), assignment.get_mut(*slot)) {
                 *cell = *a;
             }
@@ -819,15 +840,28 @@ impl PlacementDaemon {
         placed_pending: &[(usize, u64, u64)],
     ) -> Result<(), ServiceError> {
         let shed_planner = self.shed_unplaced(&slot_placement);
-        // Reconcile and execute, one journaled unit per transition.
+        // Reconcile and execute, one journaled unit per transition. One
+        // `Unit` event carries every record, its single transition
+        // overwritten in place.
         let transitions = self.runtime.reconcile(&slot_placement);
+        let mut unit = WalEvent::Unit {
+            container: 0,
+            disposition: Disposition::Applied,
+            rng_state: 0,
+            transitions: Vec::with_capacity(1),
+        };
         for t in transitions {
-            self.append(&WalEvent::Unit {
-                container: t.container() as u64,
-                disposition: Disposition::Applied,
-                rng_state: 0,
-                transitions: vec![t],
-            })?;
+            if let WalEvent::Unit {
+                container,
+                transitions,
+                ..
+            } = &mut unit
+            {
+                *container = t.container() as u64;
+                transitions.clear();
+                transitions.push(t);
+            }
+            self.append(&unit)?;
             self.runtime
                 .apply(t)
                 .map_err(|e| ServiceError::Recovery(format!("illegal transition: {e}")))?;
@@ -1134,6 +1168,71 @@ mod tests {
             .iter()
             .position(Option::is_none)
             .unwrap_or(d.slots.len())
+    }
+
+    /// The planning workload as it was built before the refill: a fresh
+    /// workload over the occupied slots in shed order, and its index →
+    /// slot map. Kept as the oracle for [`PlacementDaemon::refill_plan`].
+    fn planning_workload(d: &PlacementDaemon) -> (Workload, Vec<usize>) {
+        let mut occupied: Vec<(usize, &Tenant)> = d
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| t.as_ref().map(|t| (i, t)))
+            .collect();
+        occupied.sort_by_key(|(_, t)| (u64::from(u8::MAX - t.priority), t.seq));
+        let mut w = Workload::new();
+        let mut index_map = Vec::with_capacity(occupied.len());
+        for (slot, t) in occupied {
+            w.add_container("tenant", t.demand, None);
+            index_map.push(slot);
+        }
+        (w, index_map)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Refilling the planning workload in place, commit after commit,
+        /// gives the containers and slot map a fresh build gives: random
+        /// admits at mixed priorities, removes and resizes, with the ledger
+        /// growing and shrinking between commits.
+        #[test]
+        fn refilled_plan_matches_a_fresh_build(
+            ops in proptest::collection::vec((0u8..8, 0u8..4, 0u64..64, 1u32..200), 1..80),
+        ) {
+            let cfg = ServiceConfig {
+                queue_capacity: 64,
+                batch_max: 64,
+                bucket_capacity: 1 << 20,
+                tokens_per_epoch: 1 << 20,
+                default_deadline_ticks: 1 << 40,
+                ..ServiceConfig::default()
+            };
+            let tree = single_rack(4, Resources::new(100.0, 16.0, 1000.0), 1000.0);
+            let mut d = PlacementDaemon::new(cfg, tree);
+            let mut epoch = 0u64;
+            for (kind, priority, target, size) in ops {
+                let demand = Resources::new(f64::from(size) / 10.0, 1.0, 10.0);
+                let target_seq = target % d.next_seq.max(1);
+                let req = match kind {
+                    0..=3 => Request::Admit { priority, demand, deadline_ticks: 0, tag: 0 },
+                    4 => Request::Remove { priority, target_seq, deadline_ticks: 0, tag: 0 },
+                    5 | 6 => Request::Resize { priority, target_seq, demand, deadline_ticks: 0, tag: 0 },
+                    _ => {
+                        d.commit_epoch(epoch).expect("commit");
+                        epoch += 1;
+                        continue;
+                    }
+                };
+                let _ = d.submit(epoch * d.cfg.epoch_ticks, req);
+                d.refill_plan();
+                let (fresh, slots) = planning_workload(&d);
+                prop_assert_eq!(&d.plan.containers, &fresh.containers);
+                prop_assert!(d.plan.flows.is_empty());
+                prop_assert_eq!(&d.plan_slots, &slots);
+            }
+        }
     }
 
     /// Checks the ledger index and the queue's binary search against

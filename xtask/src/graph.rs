@@ -59,7 +59,10 @@ pub const REQUIRED_HOT_PATHS: &[(&str, &str)] = &[
     ("crates/partition/src/refine.rs", "refine_in_place"),
     ("crates/workload/src/arena.rs", "set_prefix"),
     ("crates/partition/src/initial.rs", "grow_from"),
+    ("crates/partition/src/initial.rs", "run_trials"),
     ("crates/service/src/daemon.rs", "answer_query"),
+    ("crates/cluster/src/wal.rs", "append"),
+    ("crates/cluster/src/wal.rs", "append_with_fault"),
 ];
 
 /// Ordering-sensitive sink registrations the workspace must carry:

@@ -10,7 +10,7 @@
 //!
 //! This pass makes such changes deliberate: in every `// analyze:codec`
 //! file it finds the codec functions (names `encode*`/`decode*`/`put_*`/
-//! `get_*`/`frame`/`frame_into`/`deframe`/`next_frame` — the frame scanner is
+//! `get_*`/`frame`/`frame_into`/`frame_with`/`deframe`/`next_frame` — the frame scanner is
 //! `decode_frame`), extracts each one's **op
 //! sequence** — the ordered list of wire-primitive calls it makes
 //! (`u32`, `raw:8`, `u64::from_le_bytes`, `as:u8`, tag literals…) — and
@@ -74,6 +74,7 @@ const OP_VOCAB: &[&str] = &[
     "decode_from",
     "frame",
     "frame_into",
+    "frame_with",
     "deframe",
     "next_frame",
     "decode_frame",
@@ -107,7 +108,7 @@ pub struct SchemaEntry {
 pub fn is_codec_fn(name: &str) -> bool {
     matches!(
         name,
-        "encode" | "decode" | "frame" | "frame_into" | "deframe" | "next_frame"
+        "encode" | "decode" | "frame" | "frame_into" | "frame_with" | "deframe" | "next_frame"
     ) || name.starts_with("put_")
         || name.starts_with("get_")
         || name.starts_with("encode_")

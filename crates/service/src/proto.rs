@@ -652,11 +652,6 @@ impl Session {
     pub fn outbound(&mut self) -> &mut Vec<u8> {
         &mut self.out
     }
-
-    /// Bytes of a partial inbound frame (what an idle deadline watches).
-    pub fn pending_bytes(&self) -> usize {
-        self.asm.pending_bytes()
-    }
 }
 
 /// Scans a byte stream into intact frame payloads, tolerating a torn final

@@ -1,66 +1,67 @@
-//! The blocking TCP front end of the placement daemon.
+//! The blocking TCP front end of the placement daemon, and the connection
+//! core every serving fabric runs.
 //!
-//! ## Connection lifecycle
+//! ## The connection core
+//!
+//! `ServerCore` (crate-private) writes each serving rule once: accept or
+//! refuse at `max_connections`, count every close by its reason, stamp
+//! requests with the open epoch's tick, and the pump step. It owns the
+//! daemon, the [`ServerConfig`] (whose predicates are the idle rule and the
+//! write-buffer cap) and the [`ServerStats`], and it touches no socket,
+//! reads no clock and spawns no thread. [`TcpServer`] drives it from socket
+//! threads under one mutex, [`crate::simnet::SimNet`] from a virtual clock;
+//! each keeps its per-connection state (the [`Session`], quiet time, link).
+//!
+//! The pump step commits the next epoch, drains the outbox and calls
+//! [`PlacementDaemon::compact_journal`], so a served journal is the latest
+//! snapshot pair plus its suffix: bounded by `snapshot_every` commits, not
+//! by uptime, and recovering to the same placement as the whole log. After
+//! a failed commit the daemon's volatile state may be ahead of its journal,
+//! so the core commits nothing more and [`ServerStats::pump_failed`] tells
+//! the embedder to crash-restart from the journal.
+//!
+//! ## The TCP server
 //!
 //! One accept-loop thread owns the listener; each accepted connection gets
-//! a thread with its own [`Session`], the one frame→reply loop every
-//! transport shares, so a frame split across reads — the common case on a
-//! real socket — is reassembled per stream. Each decoded envelope is
-//! submitted to the shared daemon under a mutex taken once per frame
-//! (admission, journal-before-ack, and the dedup window all live there),
-//! and the framed replies are written back from the session's bounded
-//! outbound buffer.
+//! a thread with its own [`Session`], so a frame split across reads is
+//! reassembled per stream. The core's mutex is taken once per frame. The
+//! defenses:
 //!
-//! Defenses, all explicit:
-//!
-//! - **Connection cap** — accepts beyond `max_connections` are counted and
-//!   closed immediately; the client sees EOF and backs off.
-//! - **Idle/read deadlines** — socket reads use an OS-enforced poll
-//!   timeout; a connection that stays quiet for `idle_timeout_ms`
-//!   (slowloris: a torn frame held open forever) is dropped. Idle time is
-//!   counted in poll intervals, so the crate never reads a wall clock.
-//! - **Corrupt stream** — a frame with a bad checksum or an impossible
-//!   length ends the stream: every frame before it is answered and its
-//!   reply flushed, then the connection is closed and counted. The sim
-//!   fabric ([`crate::simnet`]) follows the same rule.
-//! - **Bounded write buffer** — replies a slow peer will not drain
-//!   accumulate up to `write_buffer_cap` bytes, then the connection is
-//!   dropped with a counted overflow. Memory stays bounded; the client
-//!   re-learns state via retry + dedup.
+//! - **Connection cap** — accepts beyond `max_connections` are closed at
+//!   once; the client sees EOF and backs off.
+//! - **Idle deadline** — reads time out every `poll_ms`, and a connection
+//!   with no complete frame for `idle_timeout_ms` (a quiet peer, or a
+//!   slowloris holding or trickling a torn frame) is dropped. Quiet time
+//!   is counted in poll intervals, one per timed-out read and one per read
+//!   that completes no frame, so the crate never reads a clock.
+//! - **Corrupt stream** — a bad checksum or an impossible length ends the
+//!   stream: every frame before it is answered and flushed, then the
+//!   connection closes.
+//! - **Bounded write buffer** — a peer leaving more than
+//!   `write_buffer_cap` reply bytes unread is dropped; it re-learns state
+//!   via retry + dedup.
 //! - **Graceful drain** — [`ServerHandle::drain`] is SIGTERM-style: stop
-//!   accepting, let every connection answer and flush what it already
-//!   received (those accepts are journaled), close cleanly, and hand the
-//!   daemon (journal included) back to the caller. A retry of any ack the
-//!   drain cut off is deduplicated after restart.
+//!   accepting, answer and flush what each connection already received
+//!   (those accepts are journaled), close, and hand the daemon back. A
+//!   retry of any ack the drain cut off is deduplicated after restart.
 //!
-//! An optional epoch-pump thread commits placement epochs every
-//! `epoch_interval_ms` of real time, mapping wall time to the daemon's
-//! virtual ticks only through the epoch counter (tick = epochs × tick
-//! width — no clock reads).
-//!
-//! ## Bounded journal
-//!
-//! Every commit, pumped or driven by hand, is followed by
-//! [`PlacementDaemon::compact_journal`]: the served journal is the latest
-//! snapshot pair plus the records after it, so its size is bounded by
-//! `snapshot_every` commits rather than by uptime. The daemon handed back
-//! by [`ServerHandle::drain`] holds that compacted journal, and it recovers
-//! to the same placement as the whole log would.
+//! An optional pump thread runs the pump step every `epoch_interval_ms`,
+//! mapping wall time to virtual ticks only through the epoch counter.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::daemon::PlacementDaemon;
-use crate::proto::Session;
+use crate::proto::{Envelope, Response, Session};
 
-/// Tunables for [`TcpServer`]. All timeouts are in real milliseconds —
-/// this is the one edge of the system that touches wall time, and it does
-/// so only through OS-enforced socket timeouts and sleeps, never by
-/// reading a clock.
+/// Tunables for every serving fabric: [`TcpServer`] and
+/// [`crate::simnet::SimNet`]. All timeouts are in milliseconds — real ones
+/// on TCP, where they are enforced only through OS socket timeouts and
+/// sleeps, never by reading a clock; virtual ones in the sim.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Maximum simultaneously served connections; the rest are refused.
@@ -91,12 +92,27 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotonic serving counters, all updated lock-free.
+impl ServerConfig {
+    /// The idle rule: a connection that has sent no complete frame for
+    /// `quiet_ms` is dropped.
+    pub(crate) fn idle_expired(&self, quiet_ms: u64) -> bool {
+        quiet_ms >= self.idle_timeout_ms
+    }
+
+    /// The write-buffer cap: a peer leaving more than this many reply
+    /// bytes unread is dropped rather than buffered without bound.
+    pub(crate) fn overflows(&self, unsent: usize) -> bool {
+        unsent > self.write_buffer_cap
+    }
+}
+
+/// Serving counters, kept by the connection core and changed only on
+/// accept, close and commit.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Connections accepted into service.
     pub conns_accepted: u64,
-    /// Connections refused at the cap (or during drain).
+    /// Connections refused at the cap.
     pub conns_refused: u64,
     /// Connections dropped by the idle deadline.
     pub idle_disconnects: u64,
@@ -110,34 +126,131 @@ pub struct ServerStats {
     pub placed_total: u64,
     /// Connections currently being served.
     pub live_conns: u64,
-    /// True if an epoch commit failed (journal stall mid-commit); the
-    /// embedder must drain and crash-restart from the journal.
+    /// True if an epoch commit failed (journal stall mid-commit); nothing
+    /// more commits, and the embedder must drain and crash-restart from
+    /// the journal.
     pub pump_failed: bool,
 }
 
-struct Shared {
-    daemon: Mutex<PlacementDaemon>,
-    now_ticks: AtomicU64,
-    next_epoch: AtomicU64,
-    draining: AtomicBool,
-    pump_failed: AtomicBool,
-    conns: AtomicUsize,
-    conns_accepted: AtomicU64,
-    conns_refused: AtomicU64,
-    idle_disconnects: AtomicU64,
-    overflow_disconnects: AtomicU64,
-    corrupt_disconnects: AtomicU64,
-    epochs_committed: AtomicU64,
-    placed_total: AtomicU64,
+/// Why a served connection closed: the peer hung up (or the link failed,
+/// or the server drained), or one of the three counted rules fired.
+pub(crate) enum Close {
+    Hangup,
+    Idle,
+    Overflow,
+    Corrupt,
 }
 
-fn lock_daemon(m: &Mutex<PlacementDaemon>) -> MutexGuard<'_, PlacementDaemon> {
-    match m.lock() {
-        Ok(g) => g,
-        // A poisoning panic can only come from outside the daemon (it is
-        // panic-free by lint); serving degraded beats refusing everything.
-        Err(p) => p.into_inner(),
+/// The serving rules both fabrics run (see the module docs).
+pub(crate) struct ServerCore {
+    pub(crate) daemon: PlacementDaemon,
+    pub(crate) cfg: ServerConfig,
+    stats: ServerStats,
+    /// The epoch the next pump step commits.
+    next_epoch: u64,
+}
+
+impl ServerCore {
+    pub(crate) fn new(daemon: PlacementDaemon, cfg: ServerConfig) -> Self {
+        ServerCore {
+            next_epoch: daemon.last_committed().map_or(0, |e| e.wrapping_add(1)),
+            daemon,
+            cfg,
+            stats: ServerStats::default(),
+        }
     }
+
+    pub(crate) fn stats(&self) -> &ServerStats {
+        &self.stats
+    }
+
+    /// The epoch the next pump step commits.
+    pub(crate) fn next_epoch(&self) -> u64 {
+        self.next_epoch
+    }
+
+    /// Serves `daemon`, recovered from the journal after a kill -9: every
+    /// connection died with the old process, and the pump resumes after
+    /// the recovered epoch.
+    pub(crate) fn restart(&mut self, daemon: PlacementDaemon) {
+        let counters = std::mem::take(&mut self.stats);
+        *self = ServerCore::new(daemon, self.cfg.clone());
+        self.stats = ServerStats {
+            live_conns: 0,
+            pump_failed: false,
+            ..counters
+        };
+    }
+
+    /// Takes a new connection into service, or refuses it at the cap.
+    pub(crate) fn accept(&mut self) -> bool {
+        if self.stats.live_conns >= self.cfg.max_connections as u64 {
+            self.stats.conns_refused += 1;
+            return false;
+        }
+        self.stats.conns_accepted += 1;
+        self.stats.live_conns += 1;
+        true
+    }
+
+    /// Counts the close of a connection [`ServerCore::accept`] took in.
+    pub(crate) fn close(&mut self, why: Close) {
+        self.stats.live_conns = self.stats.live_conns.saturating_sub(1);
+        match why {
+            Close::Hangup => {}
+            Close::Idle => self.stats.idle_disconnects += 1,
+            Close::Overflow => self.stats.overflow_disconnects += 1,
+            Close::Corrupt => self.stats.corrupt_disconnects += 1,
+        }
+    }
+
+    /// Submits a decoded request, stamped just past the opening tick of
+    /// the epoch the next pump step commits.
+    pub(crate) fn submit(&mut self, env: Envelope) -> Response {
+        let now = self
+            .next_epoch
+            .wrapping_mul(self.daemon.config().epoch_ticks)
+            .wrapping_add(1);
+        self.daemon.submit_envelope(now, env)
+    }
+
+    /// The pump step: commit the next epoch, count it, drain the outbox and
+    /// compact the journal. After a failed commit it commits nothing more.
+    pub(crate) fn commit(&mut self) -> bool {
+        if self.stats.pump_failed {
+            return false;
+        }
+        match self.daemon.commit_epoch(self.next_epoch) {
+            Ok(rec) => {
+                self.stats.placed_total += rec.placed;
+                self.stats.epochs_committed += 1;
+                self.next_epoch = self.next_epoch.wrapping_add(1);
+                // No push channel exists for async outcomes — clients learn
+                // terminal state via Query; draining keeps the outbox
+                // bounded.
+                let _ = self.daemon.drain_outbox();
+                // For the same reason, drop the journal before the latest
+                // snapshot pair: a long-running server's log stays bounded.
+                self.daemon.compact_journal();
+                true
+            }
+            Err(_) => {
+                self.stats.pump_failed = true;
+                false
+            }
+        }
+    }
+}
+
+struct Shared {
+    core: Mutex<ServerCore>,
+    draining: AtomicBool,
+}
+
+/// A poisoning panic can only come from outside the daemon (it is
+/// panic-free by lint); serving degraded beats refusing everything.
+fn lock_core(m: &Mutex<ServerCore>) -> MutexGuard<'_, ServerCore> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The blocking TCP transport server. [`TcpServer::start`] spawns the
@@ -153,22 +266,9 @@ impl TcpServer {
     ) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let epoch_ticks = daemon.config().epoch_ticks;
-        let next_epoch = daemon.last_committed().map_or(0, |e| e.wrapping_add(1));
         let shared = Arc::new(Shared {
-            daemon: Mutex::new(daemon),
-            now_ticks: AtomicU64::new(next_epoch.wrapping_mul(epoch_ticks).wrapping_add(1)),
-            next_epoch: AtomicU64::new(next_epoch),
+            core: Mutex::new(ServerCore::new(daemon, cfg.clone())),
             draining: AtomicBool::new(false),
-            pump_failed: AtomicBool::new(false),
-            conns: AtomicUsize::new(0),
-            conns_accepted: AtomicU64::new(0),
-            conns_refused: AtomicU64::new(0),
-            idle_disconnects: AtomicU64::new(0),
-            overflow_disconnects: AtomicU64::new(0),
-            corrupt_disconnects: AtomicU64::new(0),
-            epochs_committed: AtomicU64::new(0),
-            placed_total: AtomicU64::new(0),
         });
 
         let accept = {
@@ -180,11 +280,11 @@ impl TcpServer {
         };
         let pump = if cfg.epoch_interval_ms > 0 {
             let shared = Arc::clone(&shared);
-            let cfg = cfg.clone();
+            let interval = Duration::from_millis(cfg.epoch_interval_ms);
             Some(
                 std::thread::Builder::new()
                     .name("svc-pump".into())
-                    .spawn(move || pump_loop(&shared, &cfg, epoch_ticks))?,
+                    .spawn(move || pump_loop(&shared, interval))?,
             )
         } else {
             None
@@ -217,29 +317,19 @@ impl ServerHandle {
 
     /// A point-in-time snapshot of the serving counters.
     pub fn stats(&self) -> ServerStats {
-        ServerStats {
-            conns_accepted: self.shared.conns_accepted.load(Ordering::Relaxed),
-            conns_refused: self.shared.conns_refused.load(Ordering::Relaxed),
-            idle_disconnects: self.shared.idle_disconnects.load(Ordering::Relaxed),
-            overflow_disconnects: self.shared.overflow_disconnects.load(Ordering::Relaxed),
-            corrupt_disconnects: self.shared.corrupt_disconnects.load(Ordering::Relaxed),
-            epochs_committed: self.shared.epochs_committed.load(Ordering::Relaxed),
-            placed_total: self.shared.placed_total.load(Ordering::Relaxed),
-            live_conns: self.shared.conns.load(Ordering::Relaxed) as u64,
-            pump_failed: self.shared.pump_failed.load(Ordering::Relaxed),
-        }
+        lock_core(&self.shared.core).stats().clone()
     }
 
     /// Runs `f` against the live daemon (serving pauses for the duration).
     pub fn with_daemon<R>(&self, f: impl FnOnce(&mut PlacementDaemon) -> R) -> R {
-        let mut d = lock_daemon(&self.shared.daemon);
-        f(&mut d)
+        f(&mut lock_core(&self.shared.core).daemon)
     }
 
     /// Commits the next epoch by hand — the embedder's hook when the pump
-    /// is disabled (`epoch_interval_ms == 0`).
+    /// is disabled (`epoch_interval_ms == 0`). Returns `false` once a
+    /// commit has failed (see [`ServerStats::pump_failed`]).
     pub fn commit_next_epoch(&self) -> bool {
-        commit_one(&self.shared, self.with_daemon(|d| d.config().epoch_ticks))
+        lock_core(&self.shared.core).commit()
     }
 
     /// SIGTERM-style graceful shutdown: stop accepting, let connections
@@ -257,60 +347,30 @@ impl ServerHandle {
         if let Some(t) = self.pump.take() {
             let _ = t.join();
         }
-        let mut waited = 0u64;
-        while self.shared.conns.load(Ordering::SeqCst) > 0 && waited < self.cfg.drain_wait_ms {
-            std::thread::sleep(Duration::from_millis(self.cfg.poll_ms.max(1)));
-            waited = waited.saturating_add(self.cfg.poll_ms.max(1));
+        // Each connection thread holds the shared state until it has
+        // flushed and closed.
+        let ServerHandle {
+            mut shared, cfg, ..
+        } = self;
+        let step = cfg.poll_ms.max(1);
+        for _ in 0..=cfg.drain_wait_ms / step {
+            match Arc::try_unwrap(shared) {
+                Ok(sh) => {
+                    let core = sh.core.into_inner();
+                    return Some(core.unwrap_or_else(PoisonError::into_inner).daemon);
+                }
+                Err(still_shared) => shared = still_shared,
+            }
+            std::thread::sleep(Duration::from_millis(step));
         }
-        let ServerHandle { shared, .. } = self;
-        match Arc::try_unwrap(shared) {
-            Ok(sh) => Some(match sh.daemon.into_inner() {
-                Ok(d) => d,
-                Err(p) => p.into_inner(),
-            }),
-            Err(_) => None,
-        }
+        None
     }
 }
 
-fn commit_one(shared: &Shared, epoch_ticks: u64) -> bool {
-    let mut d = lock_daemon(&shared.daemon);
-    let epoch = shared.next_epoch.fetch_add(1, Ordering::SeqCst);
-    match d.commit_epoch(epoch) {
-        Ok(rec) => {
-            shared.placed_total.fetch_add(rec.placed, Ordering::Relaxed);
-            shared.epochs_committed.fetch_add(1, Ordering::Relaxed);
-            // Requests arriving from now on belong to the next epoch's
-            // interval: stamp them just past its opening tick.
-            shared.now_ticks.store(
-                epoch
-                    .wrapping_add(1)
-                    .wrapping_mul(epoch_ticks)
-                    .wrapping_add(1),
-                Ordering::Relaxed,
-            );
-            // No push channel exists for async outcomes — clients learn
-            // terminal state via Query; draining keeps the outbox bounded.
-            let _ = d.drain_outbox();
-            // For the same reason, drop the journal before the latest
-            // snapshot pair: a long-running server's log stays bounded.
-            d.compact_journal();
-            true
-        }
-        Err(_) => {
-            shared.pump_failed.store(true, Ordering::SeqCst);
-            false
-        }
-    }
-}
-
-fn pump_loop(shared: &Shared, cfg: &ServerConfig, epoch_ticks: u64) {
+fn pump_loop(shared: &Shared, interval: Duration) {
     while !shared.draining.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(cfg.epoch_interval_ms.max(1)));
-        if shared.draining.load(Ordering::SeqCst) {
-            return;
-        }
-        if !commit_one(shared, epoch_ticks) {
+        std::thread::sleep(interval);
+        if shared.draining.load(Ordering::SeqCst) || !lock_core(&shared.core).commit() {
             return;
         }
     }
@@ -324,24 +384,17 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, cfg: &ServerConfig)
                     let _ = stream.shutdown(Shutdown::Both);
                     return;
                 }
-                if shared.conns.load(Ordering::SeqCst) >= cfg.max_connections {
-                    shared.conns_refused.fetch_add(1, Ordering::Relaxed);
+                if !lock_core(&shared.core).accept() {
                     let _ = stream.shutdown(Shutdown::Both);
                     continue;
                 }
-                shared.conns.fetch_add(1, Ordering::SeqCst);
-                shared.conns_accepted.fetch_add(1, Ordering::Relaxed);
                 let sh = Arc::clone(shared);
                 let c = cfg.clone();
-                let spawned =
-                    std::thread::Builder::new()
-                        .name("svc-conn".into())
-                        .spawn(move || {
-                            serve_conn(stream, &sh, &c);
-                            sh.conns.fetch_sub(1, Ordering::SeqCst);
-                        });
+                let spawned = std::thread::Builder::new()
+                    .name("svc-conn".into())
+                    .spawn(move || serve_conn(stream, &sh, &c));
                 if spawned.is_err() {
-                    shared.conns.fetch_sub(1, Ordering::SeqCst);
+                    lock_core(&shared.core).close(Close::Hangup);
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -379,67 +432,69 @@ fn try_flush(stream: &mut TcpStream, pending: &mut Vec<u8>) -> io::Result<()> {
 }
 
 fn serve_conn(mut stream: TcpStream, shared: &Shared, cfg: &ServerConfig) {
-    let poll = Duration::from_millis(cfg.poll_ms.max(1));
+    let mut session = Session::new();
+    let why = serve_frames(&mut stream, &mut session, shared, cfg);
+    // Counted before the peer can see the close, so a client that reads
+    // EOF also reads the count.
+    lock_core(&shared.core).close(why);
+    // Flush journaled acks best-effort before closing; anything lost here
+    // is safe to retry thanks to the dedup window. After a corrupt frame
+    // this delivers the replies to every frame before it.
+    let _ = try_flush(&mut stream, session.outbound());
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Answers the connection's frames until one of the close rules fires.
+fn serve_frames(
+    stream: &mut TcpStream,
+    session: &mut Session,
+    shared: &Shared,
+    cfg: &ServerConfig,
+) -> Close {
+    let poll_ms = cfg.poll_ms.max(1);
+    let poll = Duration::from_millis(poll_ms);
     if stream.set_read_timeout(Some(poll)).is_err() || stream.set_write_timeout(Some(poll)).is_err()
     {
-        return;
+        return Close::Hangup;
     }
     let _ = stream.set_nodelay(true);
-    let mut session = Session::new();
-    let mut idle_ms = 0u64;
+    let mut quiet_ms = 0u64;
     let mut buf = vec![0u8; 16 * 1024];
     loop {
         match stream.read(&mut buf) {
-            Ok(0) => break,
+            Ok(0) => return Close::Hangup,
             Ok(n) => {
-                // The daemon lock is taken once per frame, so connections
+                // The core's lock is taken once per frame, so connections
                 // interleave frame by frame.
                 let fed = session.feed(buf.get(..n).unwrap_or_default(), |env| {
-                    let now = shared.now_ticks.load(Ordering::Relaxed);
-                    lock_daemon(&shared.daemon).submit_envelope(now, env)
+                    lock_core(&shared.core).submit(env)
                 });
                 match fed {
-                    Ok(0) => {}
-                    Ok(_) => idle_ms = 0,
-                    Err(_) => {
-                        // Unrecoverable stream (bad checksum / hostile
-                        // length): answer what we can, then cut.
-                        shared.corrupt_disconnects.fetch_add(1, Ordering::Relaxed);
-                        let _ = try_flush(&mut stream, session.outbound());
-                        let _ = stream.shutdown(Shutdown::Both);
-                        return;
-                    }
+                    // Bytes but no complete frame count as a poll interval
+                    // of quiet time, so a peer trickling a torn frame faster
+                    // than the poll interval still meets the deadline.
+                    Ok(0) => quiet_ms = quiet_ms.saturating_add(poll_ms),
+                    Ok(_) => quiet_ms = 0,
+                    Err(_) => return Close::Corrupt,
                 }
             }
-            Err(e) if is_poll_timeout(&e) => {
-                idle_ms = idle_ms.saturating_add(cfg.poll_ms.max(1));
-                if idle_ms >= cfg.idle_timeout_ms {
-                    // Slowloris defense: quiet too long (including a
-                    // partial frame held open) — drop the connection.
-                    shared.idle_disconnects.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-            }
+            Err(e) if is_poll_timeout(&e) => quiet_ms = quiet_ms.saturating_add(poll_ms),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
+            Err(_) => return Close::Hangup,
+        }
+        if cfg.idle_expired(quiet_ms) {
+            return Close::Idle;
         }
         let pending = session.outbound();
-        if try_flush(&mut stream, pending).is_err() {
-            break;
+        if try_flush(stream, pending).is_err() {
+            return Close::Hangup;
         }
-        if pending.len() > cfg.write_buffer_cap {
-            // The peer is not draining its replies; disconnect explicitly
-            // rather than buffer without bound.
-            shared.overflow_disconnects.fetch_add(1, Ordering::Relaxed);
-            break;
+        if cfg.overflows(pending.len()) {
+            return Close::Overflow;
         }
         if shared.draining.load(Ordering::SeqCst) && pending.is_empty() {
             // Drain: everything received has been answered and flushed.
-            break;
+            return Close::Hangup;
         }
     }
-    // Flush journaled acks best-effort before closing; anything lost here
-    // is safe to retry thanks to the dedup window.
-    let _ = try_flush(&mut stream, session.outbound());
-    let _ = stream.shutdown(Shutdown::Both);
 }

@@ -1,22 +1,18 @@
 //! A deterministic in-memory transport fabric for chaos drills.
 //!
-//! [`SimNet`] owns a [`PlacementDaemon`] and hands out [`SimTransport`]
-//! handles that implement the same [`Transport`] trait as the TCP path, so
-//! a [`crate::client::ServiceClient`] runs its real reconnect/backoff/
-//! dedup logic against it unchanged. Time is virtual (every connection op
-//! advances it by 1 ms; sleeps advance it directly) and an epoch
-//! auto-commits every 50 ms of virtual time — no clocks, no threads,
-//! fully replayable from a seed.
-//!
-//! The server side of each connection is a [`Session`], the frame→reply
-//! loop [`crate::server::TcpServer`] and
-//! [`PlacementDaemon::handle_frames`] run too, so the fabric answers any
-//! byte stream exactly as they do. That includes the corrupt-stream rule:
-//! a frame with a bad checksum or an impossible length ends the stream,
-//! every frame before it is answered and its reply still delivered, then
-//! the connection is closed. [`SimStats`] counts the fabric's faults and,
-//! under the TCP server's names ([`ServerStats`]), everything the server
-//! counts.
+//! [`SimNet`] is a virtual clock and seeded fault rolls around the
+//! connection core that [`crate::server::TcpServer`] runs: one
+//! [`ServerConfig`] sets the same connection cap, idle deadline,
+//! write-buffer cap and pump step on both fabrics, and [`SimStats`] embeds
+//! the core's [`ServerStats`]. Its [`SimTransport`] handles implement the
+//! same [`Transport`] trait as the TCP path, so a
+//! [`crate::client::ServiceClient`] runs its real reconnect/backoff/dedup
+//! logic against it unchanged. Every connection op advances virtual time
+//! by 1 ms and sleeps advance it directly; the pump step runs every
+//! `epoch_interval_ms` of virtual time and the idle deadline is swept
+//! whenever time advances — no clocks, no threads, fully replayable from a
+//! seed. Each connection's server side is a [`Session`], so the fabric
+//! answers any byte stream, corrupt frames included, as the socket does.
 //!
 //! Seeded socket faults, rolled per operation from a SplitMix64 stream:
 //!
@@ -26,17 +22,12 @@
 //!   hand back seeded-size chunks, exercising cross-read reassembly;
 //! - **stalled writers / half-open peers** — a connection silently stops
 //!   delivering replies (they are withheld, not lost) until a seeded
-//!   recovery roll, forcing client timeouts and reconnects;
-//! - **write-buffer overflow** — more than 64 KiB of undelivered replies
-//!   kills the connection, mirroring the TCP server's bounded-buffer
-//!   policy;
-//! - **idle kill** — a torn frame sitting quiet for 400 ms gets the
-//!   connection dropped (the slowloris defense, virtualized).
+//!   recovery roll, forcing client timeouts and reconnects.
 //!
 //! A [`SimNet::crash_restart`] models kill -9: the daemon is rebuilt from
-//! its journal via [`PlacementDaemon::recover`] and every connection dies.
-//! The dedup window rides the journal, so in-flight retries stay
-//! idempotent across the crash.
+//! its compacted journal via [`PlacementDaemon::recover`] and every
+//! connection dies. The dedup window rides the journal, so in-flight
+//! retries stay idempotent across the crash.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -47,21 +38,11 @@ use goldilocks_topology::DcTree;
 
 use crate::daemon::{PlacementDaemon, RecoveryReport, ServiceError};
 use crate::proto::Session;
-use crate::server::ServerStats;
+use crate::server::{Close, ServerConfig, ServerCore, ServerStats};
 use crate::transport::{Conn, Transport, TransportError};
 
-/// An epoch commits whenever virtual time crosses a multiple of this.
-const EPOCH_INTERVAL_MS: u64 = 50;
-/// Connection cap; connects beyond it are refused.
-const MAX_CONNECTIONS: usize = 64;
-/// A connection holding a partial frame quiet for this long is killed.
-const IDLE_TIMEOUT_MS: u64 = 400;
-/// Reply bytes buffered per connection before it is killed.
-const WRITE_BUFFER_CAP: usize = 64 * 1024;
 /// Virtual cost of one connection operation.
 const OP_COST_MS: u64 = 1;
-/// Poll interval reported to clients (their timeout-counting unit).
-const POLL_MS: u64 = 5;
 
 /// Seeded fault rates, each rolled independently per operation.
 #[derive(Clone, Copy, Debug)]
@@ -99,8 +80,7 @@ impl SimFaultConfig {
 }
 
 /// Fabric counters (deterministic given the seed and the op sequence):
-/// the fault counters, plus the server-side counters under the TCP
-/// server's names.
+/// the fault counters, plus the connection core's counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Connections cut mid-frame by the fault roll.
@@ -111,9 +91,8 @@ pub struct SimStats {
     pub unstalls: u64,
     /// Crash-restarts performed.
     pub crashes: u64,
-    /// Accepts, refusals, disconnects and epoch commits, counted as
-    /// [`crate::server::TcpServer`] counts them (`pump_failed` flags a
-    /// failed commit, only possible with injected WAL faults).
+    /// The connection core's counters (`pump_failed` clears on a
+    /// crash-restart).
     pub server: ServerStats,
 }
 
@@ -135,19 +114,20 @@ struct SimConnState {
     /// Replies are withheld from reads until a seeded recovery roll.
     stalled: bool,
     session: Session,
-    last_progress_ms: u64,
+    /// Virtual time of the accept or the last complete frame.
+    last_frame_ms: u64,
 }
 
 struct SimNetInner {
-    daemon: PlacementDaemon,
+    core: ServerCore,
     service: ServiceConfig,
     tree: DcTree,
     faults: SimFaultConfig,
     rng: SplitMix64,
     now_ms: u64,
-    epochs_committed: u64,
     conns: std::collections::BTreeMap<u64, SimConnState>,
     next_conn: u64,
+    /// The fault counters; `server` is read from the core.
     stats: SimStats,
 }
 
@@ -172,61 +152,30 @@ fn index(rng: &mut SplitMix64, n: usize) -> usize {
 impl SimNetInner {
     fn advance(&mut self, ms: u64) {
         self.now_ms = self.now_ms.saturating_add(ms);
-        // Virtual epoch pump.
-        while self
-            .epochs_committed
-            .saturating_add(1)
-            .saturating_mul(EPOCH_INTERVAL_MS)
-            <= self.now_ms
-        {
-            if self.stats.server.pump_failed {
-                break;
-            }
-            match self.daemon.commit_epoch(self.epochs_committed) {
-                Ok(rec) => {
-                    self.stats.server.placed_total += rec.placed;
-                    self.stats.server.epochs_committed += 1;
-                    self.epochs_committed += 1;
-                    let _ = self.daemon.drain_outbox();
-                }
-                Err(_) => {
-                    self.stats.server.pump_failed = true;
-                    break;
-                }
-            }
-        }
-        // Idle sweep: a partial frame held quiet past the deadline kills
-        // its connection (the virtual slowloris defense).
-        let now = self.now_ms;
+        // The pump: one core step per epoch interval crossed (none if the
+        // interval is 0).
+        let (now, interval) = (self.now_ms, self.core.cfg.epoch_interval_ms);
+        let due = |core: &ServerCore| (core.next_epoch() + 1).saturating_mul(interval) <= now;
+        while interval > 0 && due(&self.core) && self.core.commit() {}
+        // The idle rule, swept over every open connection.
         for c in self.conns.values_mut() {
-            if c.link == Link::Open
-                && c.session.pending_bytes() > 0
-                && now.saturating_sub(c.last_progress_ms) >= IDLE_TIMEOUT_MS
-            {
+            let quiet_ms = now.saturating_sub(c.last_frame_ms);
+            if c.link == Link::Open && self.core.cfg.idle_expired(quiet_ms) {
                 c.link = Link::Dead;
-                self.stats.server.idle_disconnects += 1;
+                self.core.close(Close::Idle);
             }
         }
-    }
-
-    fn now_tick(&self) -> u64 {
-        self.epochs_committed
-            .wrapping_mul(self.daemon.config().epoch_ticks)
-            .wrapping_add(1)
     }
 
     fn connect(&mut self) -> Result<u64, TransportError> {
         self.advance(OP_COST_MS);
-        let live = self.conns.values().filter(|c| c.link == Link::Open).count();
-        if live >= MAX_CONNECTIONS {
-            self.stats.server.conns_refused += 1;
+        if !self.core.accept() {
             return Err(TransportError::Refused);
         }
         let stalled = chance(&mut self.rng, self.faults.stall_on_connect);
         if stalled {
             self.stats.stalls += 1;
         }
-        self.stats.server.conns_accepted += 1;
         let id = self.next_conn;
         self.next_conn += 1;
         self.conns.insert(
@@ -235,7 +184,7 @@ impl SimNetInner {
                 link: Link::Open,
                 stalled,
                 session: Session::new(),
-                last_progress_ms: self.now_ms,
+                last_frame_ms: self.now_ms,
             },
         );
         Ok(id)
@@ -252,7 +201,6 @@ impl SimNetInner {
         // stream's order; the server answers nothing a cut write carried.
         let _cut_at = index(&mut self.rng, bytes.len());
         let short_len = 1 + index(&mut self.rng, bytes.len());
-        let now = self.now_tick();
         let Some(c) = self.conns.get_mut(&id) else {
             return Err(TransportError::Disconnected);
         };
@@ -263,26 +211,27 @@ impl SimNetInner {
             // Disconnect mid-frame: the client must reconnect and retry
             // through the dedup window.
             c.link = Link::Dead;
+            self.core.close(Close::Hangup);
             self.stats.cuts += 1;
             return Err(TransportError::Disconnected);
         }
         let n = if short { short_len } else { bytes.len() };
-        let daemon = &mut self.daemon;
-        let fed = c.session.feed(bytes.get(..n).unwrap_or_default(), |env| {
-            daemon.submit_envelope(now, env)
-        });
+        let core = &mut self.core;
+        let fed = c
+            .session
+            .feed(bytes.get(..n).unwrap_or_default(), |env| core.submit(env));
         match fed {
             Ok(0) => {}
-            Ok(_) => c.last_progress_ms = self.now_ms,
+            Ok(_) => c.last_frame_ms = self.now_ms,
             Err(_) => {
                 c.link = Link::Closing;
-                self.stats.server.corrupt_disconnects += 1;
+                core.close(Close::Corrupt);
                 return Err(TransportError::Corrupt);
             }
         }
-        if c.session.outbound().len() > WRITE_BUFFER_CAP {
+        if core.cfg.overflows(c.session.outbound().len()) {
             c.link = Link::Dead;
-            self.stats.server.overflow_disconnects += 1;
+            core.close(Close::Overflow);
         }
         Ok(n)
     }
@@ -327,37 +276,38 @@ impl SimNetInner {
 
     fn conn_close(&mut self, id: u64) {
         if let Some(c) = self.conns.get_mut(&id) {
+            if c.link == Link::Open {
+                self.core.close(Close::Hangup);
+            }
             c.link = Link::Dead;
         }
     }
 }
 
 /// The shared fabric handle. Clone freely; all handles see one daemon.
+#[derive(Clone)]
 pub struct SimNet {
     inner: Rc<RefCell<SimNetInner>>,
 }
 
-impl Clone for SimNet {
-    fn clone(&self) -> Self {
-        SimNet {
-            inner: Rc::clone(&self.inner),
-        }
-    }
-}
-
 impl SimNet {
-    /// A fresh fabric around a new daemon.
-    pub fn new(service: ServiceConfig, tree: DcTree, faults: SimFaultConfig) -> Self {
+    /// A fresh fabric around a new daemon, serving under `server`'s limits
+    /// (its `epoch_interval_ms` is virtual; 0 stops the pump).
+    pub fn new(
+        service: ServiceConfig,
+        tree: DcTree,
+        server: ServerConfig,
+        faults: SimFaultConfig,
+    ) -> Self {
         let daemon = PlacementDaemon::new(service.clone(), tree.clone());
         SimNet {
             inner: Rc::new(RefCell::new(SimNetInner {
-                daemon,
+                core: ServerCore::new(daemon, server),
                 service,
                 tree,
                 rng: SplitMix64::from_state(faults.seed ^ 0x51D0_0E75_F4B1_1C00),
                 faults,
                 now_ms: 0,
-                epochs_committed: 0,
                 conns: std::collections::BTreeMap::new(),
                 next_conn: 1,
                 stats: SimStats::default(),
@@ -385,21 +335,17 @@ impl SimNet {
 
     /// Runs `f` against the daemon.
     pub fn with_daemon<R>(&self, f: impl FnOnce(&mut PlacementDaemon) -> R) -> R {
-        f(&mut self.inner.borrow_mut().daemon)
+        f(&mut self.inner.borrow_mut().core.daemon)
     }
 
-    /// kill -9: rebuild the daemon from its journal (optionally truncated
-    /// at `cut` bytes to model a torn tail on the durable medium) and drop
-    /// every connection. Returns the recovery report.
-    pub fn crash_restart(&self, cut: Option<usize>) -> Result<RecoveryReport, ServiceError> {
+    /// kill -9: rebuild the daemon from its journal and drop every
+    /// connection. Returns the recovery report.
+    pub fn crash_restart(&self) -> Result<RecoveryReport, ServiceError> {
         let mut n = self.inner.borrow_mut();
-        let mut wal = n.daemon.wal_bytes().to_vec();
-        if let Some(c) = cut {
-            wal.truncate(c.min(wal.len()));
-        }
-        let (d, report) = PlacementDaemon::recover(n.service.clone(), n.tree.clone(), &wal)?;
-        n.epochs_committed = d.last_committed().map_or(0, |e| e.wrapping_add(1));
-        n.daemon = d;
+        let n = &mut *n;
+        let (d, report) =
+            PlacementDaemon::recover(n.service.clone(), n.tree.clone(), n.core.daemon.wal_bytes())?;
+        n.core.restart(d);
         n.conns.clear();
         n.stats.crashes += 1;
         Ok(report)
@@ -408,9 +354,10 @@ impl SimNet {
     /// A snapshot of the fabric counters.
     pub fn stats(&self) -> SimStats {
         let n = self.inner.borrow();
-        let mut stats = n.stats.clone();
-        stats.server.live_conns = n.conns.values().filter(|c| c.link == Link::Open).count() as u64;
-        stats
+        SimStats {
+            server: n.core.stats().clone(),
+            ..n.stats.clone()
+        }
     }
 }
 
@@ -455,6 +402,6 @@ impl Transport for SimTransport {
     }
 
     fn poll_ms(&self) -> u64 {
-        POLL_MS
+        self.inner.borrow().core.cfg.poll_ms
     }
 }

@@ -239,7 +239,12 @@ fn slowloris_partial_frame_is_cut_by_the_idle_deadline() {
 #[test]
 fn sim_fabric_runs_the_same_client_deterministically() {
     let run = |seed: u64| {
-        let net = SimNet::new(svc_cfg(), rack(), SimFaultConfig::quiet(seed));
+        let net = SimNet::new(
+            svc_cfg(),
+            rack(),
+            ServerConfig::default(),
+            SimFaultConfig::quiet(seed),
+        );
         let mut client = ServiceClient::new(net.transport(), client_cfg(1));
         let a = client.admit(5, demand(), 0).expect("admit");
         let b = client.admit(4, demand(), 0).expect("admit");
@@ -270,13 +275,18 @@ fn sim_fabric_runs_the_same_client_deterministically() {
 
 #[test]
 fn sim_crash_restart_preserves_the_dedup_window() {
-    let net = SimNet::new(svc_cfg(), rack(), SimFaultConfig::quiet(7));
+    let net = SimNet::new(
+        svc_cfg(),
+        rack(),
+        ServerConfig::default(),
+        SimFaultConfig::quiet(7),
+    );
     let mut client = ServiceClient::new(net.transport(), client_cfg(6));
     let seq = client.admit(5, demand(), 0).expect("admit");
 
     // kill -9 with the full journal intact (in-memory WAL *is* the
     // durable medium): connections die, state recovers.
-    net.crash_restart(None).expect("recover");
+    net.crash_restart().expect("recover");
 
     // The client's next attempt hits a dead connection, reconnects, and
     // a replayed duplicate of the same call returns the original seq.
@@ -286,21 +296,83 @@ fn sim_crash_restart_preserves_the_dedup_window() {
     assert_eq!(net.with_daemon(|d| d.seqs_issued()), 1);
 }
 
-/// The compaction drill's request stream: one framed call at a time over a
-/// raw socket, so the served daemon and an in-process reference see the
+/// The compaction drills' request stream: one framed call at a time over a
+/// raw link, so the served daemon and an in-process reference see the
 /// same envelopes at the same ticks.
 struct Drill {
-    stream: std::net::TcpStream,
-    asm: goldilocks_service::FrameAssembler,
+    /// Sends one envelope to the served daemon and returns its answer.
+    link: Box<dyn FnMut(&Envelope) -> Response>,
     reference: PlacementDaemon,
     next_id: u64,
     admitted: Vec<u64>,
     sent: Vec<Envelope>,
 }
 
+/// Reads one reply to request `request_id` through `asm`, refilling it
+/// from `read`.
+fn read_reply(
+    asm: &mut goldilocks_service::FrameAssembler,
+    request_id: u64,
+    mut read: impl FnMut(&mut [u8]) -> usize,
+) -> Response {
+    let mut buf = [0u8; 4096];
+    loop {
+        if let Some(p) = asm.next_frame().expect("frame") {
+            let reply = goldilocks_service::Reply::decode(&p).expect("reply");
+            assert_eq!(reply.request_id, request_id);
+            return reply.response;
+        }
+        let n = read(&mut buf);
+        assert!(n > 0, "server closed before replying");
+        asm.feed(&buf[..n]);
+    }
+}
+
+/// A drill link over a raw socket to `addr`.
+fn tcp_link(addr: std::net::SocketAddr) -> Box<dyn FnMut(&Envelope) -> Response> {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("timeout");
+    let mut asm = goldilocks_service::FrameAssembler::new();
+    Box::new(move |env| {
+        stream
+            .write_all(&goldilocks_service::frame(&env.encode()))
+            .expect("write");
+        read_reply(&mut asm, env.request_id, |buf| {
+            stream.read(buf).expect("read")
+        })
+    })
+}
+
+/// A drill link over one fault-free fabric connection.
+fn sim_link(net: &SimNet) -> Box<dyn FnMut(&Envelope) -> Response> {
+    use goldilocks_service::{Conn, Transport};
+    let mut conn = net.transport().connect().expect("connect");
+    let mut asm = goldilocks_service::FrameAssembler::new();
+    Box::new(move |env| {
+        let wire = goldilocks_service::frame(&env.encode());
+        assert_eq!(conn.write(&wire), Ok(wire.len()));
+        read_reply(&mut asm, env.request_id, |buf| {
+            conn.read(buf).expect("read")
+        })
+    })
+}
+
 impl Drill {
     /// Sends `request` to the server and to the reference at tick `now`;
     /// both must answer alike.
+    fn new(cfg: &ServiceConfig, link: Box<dyn FnMut(&Envelope) -> Response>) -> Self {
+        Drill {
+            link,
+            reference: PlacementDaemon::new(cfg.clone(), rack()),
+            next_id: 0,
+            admitted: Vec::new(),
+            sent: Vec::new(),
+        }
+    }
+
     fn call(&mut self, now: u64, request: Request) -> Response {
         self.next_id += 1;
         let env = Envelope {
@@ -308,28 +380,10 @@ impl Drill {
             request_id: self.next_id,
             request,
         };
-        let resp = self.send(&env);
+        let resp = (self.link)(&env);
         assert_eq!(resp, self.reference.submit_envelope(now, env.clone()));
         self.sent.push(env);
         resp
-    }
-
-    fn send(&mut self, env: &Envelope) -> Response {
-        use std::io::{Read, Write};
-        self.stream
-            .write_all(&goldilocks_service::frame(&env.encode()))
-            .expect("write");
-        let mut buf = [0u8; 4096];
-        loop {
-            if let Some(p) = self.asm.next_frame().expect("frame") {
-                let reply = goldilocks_service::Reply::decode(&p).expect("reply");
-                assert_eq!(reply.request_id, env.request_id);
-                return reply.response;
-            }
-            let n = self.stream.read(&mut buf).expect("read");
-            assert!(n > 0, "server closed before replying");
-            self.asm.feed(&buf[..n]);
-        }
     }
 
     /// Epoch `epoch`'s mutations: three admits, a resize from epoch 1 on
@@ -390,18 +444,7 @@ fn compacted_served_journal_recovers_like_the_whole_log() {
         "127.0.0.1:0",
     )
     .expect("bind");
-    let stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
-        .expect("timeout");
-    let mut drill = Drill {
-        stream,
-        asm: goldilocks_service::FrameAssembler::new(),
-        reference: PlacementDaemon::new(cfg.clone(), rack()),
-        next_id: 0,
-        admitted: Vec::new(),
-        sent: Vec::new(),
-    };
+    let mut drill = Drill::new(&cfg, tcp_link(handle.addr()));
 
     // The uncompacted reference's assignment after each epoch.
     let mut assignment_at = Vec::new();
@@ -424,17 +467,17 @@ fn compacted_served_journal_recovers_like_the_whole_log() {
     let first = drill.sent[0].clone();
     let issued = handle.with_daemon(|d| d.seqs_issued());
     assert!(matches!(
-        drill.send(&first),
+        (drill.link)(&first),
         Response::Accepted { seq: 0, .. }
     ));
     assert_eq!(handle.with_daemon(|d| d.seqs_issued()), issued);
 
     let Drill {
-        stream,
+        link,
         mut reference,
         ..
     } = drill;
-    drop(stream);
+    drop(link);
     let mut served = handle.drain().expect("drain hands the daemon back");
     let wal = served.wal_bytes().to_vec();
 
@@ -525,6 +568,63 @@ fn compacted_served_journal_recovers_like_the_whole_log() {
     assert_eq!(d.seqs_issued(), reference.seqs_issued());
 }
 
+#[test]
+fn sim_crash_restart_recovers_from_the_compacted_journal() {
+    use goldilocks_cluster::{Wal, WalEvent};
+    const SNAPSHOT_EVERY: u64 = 4;
+    const EPOCHS: u64 = 2 * SNAPSHOT_EVERY + 2;
+    let cfg = ServiceConfig {
+        snapshot_every: SNAPSHOT_EVERY,
+        ..svc_cfg()
+    };
+    let ticks = cfg.epoch_ticks;
+    let server = ServerConfig::default();
+    let interval = server.epoch_interval_ms;
+    let net = SimNet::new(cfg.clone(), rack(), server, SimFaultConfig::quiet(9));
+    let mut drill = Drill::new(&cfg, sim_link(&net));
+
+    // Each epoch's calls land before virtual time crosses its end, where
+    // the fabric's pump commits it.
+    for epoch in 0..EPOCHS {
+        drill.mutate(epoch, ticks);
+        net.advance((epoch + 1) * interval - net.now_ms());
+        drill
+            .reference
+            .commit_epoch(epoch)
+            .expect("reference commit");
+    }
+    assert_eq!(net.stats().server.epochs_committed, EPOCHS);
+
+    // The fabric compacts as the TCP server does: its journal starts with
+    // epoch 7's snapshot pair and is smaller than the whole log.
+    let wal = net.with_daemon(|d| d.wal_bytes().to_vec());
+    match &Wal::decode(&wal).events[0] {
+        WalEvent::Snapshot(state) => {
+            assert_eq!(state.committed_epoch, Some(2 * SNAPSHOT_EVERY - 1))
+        }
+        other => panic!("compacted journal starts with {other:?}"),
+    }
+    assert!(wal.len() < drill.reference.wal_bytes().len());
+
+    // kill -9 from the compacted journal: the placement and the issued
+    // seqs are the whole-log daemon's, and a retry of the first call,
+    // acked two compactions ago, replays its seq on a new connection.
+    net.crash_restart().expect("recover");
+    assert_eq!(
+        net.with_daemon(|d| d.assignment()),
+        drill.reference.assignment()
+    );
+    let issued = drill.reference.seqs_issued();
+    assert_eq!(net.with_daemon(|d| d.seqs_issued()), issued);
+    drill.link = sim_link(&net);
+    let first = drill.sent[0].clone();
+    let now = EPOCHS * ticks + 1;
+    let replayed = (drill.link)(&first);
+    assert!(matches!(replayed, Response::Accepted { seq: 0, .. }));
+    assert_eq!(replayed, drill.reference.submit_envelope(now, first));
+    assert_eq!(net.with_daemon(|d| d.seqs_issued()), issued);
+}
+
 /// The cross-transport stream, one entry per client write: two admits in
 /// one write, a third admit split across two writes, an undecodable
 /// envelope (answered `Malformed`), then a fourth admit followed by a frame
@@ -589,7 +689,7 @@ fn every_transport_answers_one_stream_alike() {
     )));
 
     // Over the deterministic fabric.
-    let net = SimNet::new(svc_cfg(), rack(), SimFaultConfig::quiet(1));
+    let net = SimNet::new(svc_cfg(), rack(), server_cfg(), SimFaultConfig::quiet(1));
     let mut conn = net.transport().connect().expect("connect");
     let mut sim = Vec::new();
     for (i, w) in writes.iter().enumerate() {
@@ -640,5 +740,186 @@ fn every_transport_answers_one_stream_alike() {
     );
     assert_eq!(tcp, in_process, "the socket's reply bytes differ");
     assert_eq!(handle.stats().corrupt_disconnects, 1);
+    let _ = handle.drain();
+}
+
+/// A short write that lets the next commit's batch record through and
+/// tears a later record of the same commit, sized by committing a copy of
+/// `d` recovered from its journal.
+fn mid_commit_tear(d: &PlacementDaemon) -> goldilocks_cluster::WriteFault {
+    use goldilocks_cluster::Wal;
+    let (mut copy, _) =
+        PlacementDaemon::recover(svc_cfg(), rack(), d.wal_bytes()).expect("recover");
+    let from = copy.wal_bytes().len();
+    copy.commit_epoch(d.last_committed().map_or(0, |e| e + 1))
+        .expect("commit");
+    let ends = Wal::record_ends(copy.wal_bytes());
+    let starts = std::iter::once(0).chain(ends.iter().copied());
+    // The commit's frame lengths, its batch record first.
+    let frames: Vec<usize> = starts
+        .zip(&ends)
+        .filter(|&(start, _)| start >= from)
+        .map(|(start, &end)| end - start)
+        .collect();
+    assert!(
+        frames[1..].iter().any(|&f| f > frames[0]),
+        "no record to tear"
+    );
+    goldilocks_cluster::WriteFault::ShortWrite(frames[0])
+}
+
+#[test]
+fn a_failed_commit_stops_the_pump_on_both_fabrics() {
+    // Over a socket, committed by hand.
+    let handle = TcpServer::start(
+        PlacementDaemon::new(svc_cfg(), rack()),
+        server_cfg(),
+        "127.0.0.1:0",
+    )
+    .expect("bind");
+    let mut client = ServiceClient::new(
+        TcpTransport::new(handle.addr()).with_poll_ms(2),
+        client_cfg(12),
+    );
+    client.admit(5, demand(), 0).expect("admit");
+    assert!(handle.commit_next_epoch());
+    for _ in 0..3 {
+        client.admit(5, demand(), 0).expect("admit");
+    }
+    let tear = handle.with_daemon(|d| mid_commit_tear(d));
+    handle.with_daemon(|d| d.set_wal_fault(Some(tear)));
+    assert!(!handle.commit_next_epoch(), "the torn commit fails");
+    let committed = handle.with_daemon(|d| d.last_committed());
+    handle.with_daemon(|d| d.set_wal_fault(None));
+    assert!(
+        !handle.commit_next_epoch(),
+        "a commit followed a failed one"
+    );
+    let stats = handle.stats();
+    assert!(stats.pump_failed);
+    assert_eq!(stats.epochs_committed, 1);
+    assert_eq!(handle.with_daemon(|d| d.last_committed()), committed);
+    drop(client);
+    let _ = handle.drain();
+
+    // Over the fabric, pumped by virtual time.
+    let net = SimNet::new(
+        svc_cfg(),
+        rack(),
+        ServerConfig::default(),
+        SimFaultConfig::quiet(3),
+    );
+    let interval = ServerConfig::default().epoch_interval_ms;
+    let mut client = ServiceClient::new(net.transport(), client_cfg(12));
+    client.admit(5, demand(), 0).expect("admit");
+    net.advance(interval);
+    assert_eq!(net.stats().server.epochs_committed, 1);
+    for _ in 0..3 {
+        client.admit(5, demand(), 0).expect("admit");
+    }
+    let tear = net.with_daemon(|d| mid_commit_tear(d));
+    net.with_daemon(|d| d.set_wal_fault(Some(tear)));
+    net.advance(interval);
+    assert!(net.stats().server.pump_failed, "the torn commit fails");
+    let committed = net.with_daemon(|d| d.last_committed());
+    net.with_daemon(|d| d.set_wal_fault(None));
+    net.advance(4 * interval);
+    let stats = net.stats().server;
+    assert!(stats.pump_failed);
+    assert_eq!(stats.epochs_committed, 1);
+    assert_eq!(net.with_daemon(|d| d.last_committed()), committed);
+}
+
+#[test]
+fn both_fabrics_count_one_connection_life_alike() {
+    use goldilocks_service::{Conn, ServerStats, Transport, TransportError};
+    use std::io::{Read, Write};
+    // One connection at a time, a short idle deadline, no pump.
+    let cfg = ServerConfig {
+        max_connections: 1,
+        idle_timeout_ms: 300,
+        ..server_cfg()
+    };
+    let torn = [0xAA, 0xBB, 0xCC];
+    // A frame header announcing more bytes than the trickle ever sends.
+    let trickle_header = [0, 0, 8, 0, 0, 0, 0, 0];
+    let mut corrupt = equivalence_writes()[0].clone();
+    corrupt[4] ^= 0xFF;
+    // A refusal at the cap; a quiet connection, a held torn frame and a
+    // torn frame trickled a byte at a time, all cut by the idle deadline;
+    // and a corrupt frame.
+    let expect = ServerStats {
+        conns_accepted: 4,
+        conns_refused: 1,
+        idle_disconnects: 3,
+        corrupt_disconnects: 1,
+        ..ServerStats::default()
+    };
+
+    // Over the fabric.
+    let net = SimNet::new(svc_cfg(), rack(), cfg.clone(), SimFaultConfig::quiet(1));
+    let mut t = net.transport();
+    let mut buf = [0u8; 16];
+    let mut quiet = t.connect().expect("accepted");
+    assert!(matches!(t.connect(), Err(TransportError::Refused)));
+    net.advance(cfg.idle_timeout_ms);
+    assert_eq!(quiet.read(&mut buf), Err(TransportError::Disconnected));
+    let mut held = t.connect().expect("accepted");
+    assert_eq!(held.write(&torn), Ok(torn.len()));
+    net.advance(cfg.idle_timeout_ms);
+    assert_eq!(held.read(&mut buf), Err(TransportError::Disconnected));
+    let mut trickle = t.connect().expect("accepted");
+    assert_eq!(trickle.write(&trickle_header), Ok(trickle_header.len()));
+    let sent = (0..2 * cfg.idle_timeout_ms)
+        .take_while(|_| trickle.write(&[0]) == Ok(1))
+        .count() as u64;
+    assert!(
+        sent < cfg.idle_timeout_ms,
+        "the trickle outlived the deadline"
+    );
+    let mut bad = t.connect().expect("accepted");
+    assert_eq!(bad.write(&corrupt), Err(TransportError::Corrupt));
+    assert_eq!(net.stats().server, expect, "over the fabric");
+
+    // Over a socket: each close is counted before the peer reads EOF.
+    let handle = TcpServer::start(
+        PlacementDaemon::new(svc_cfg(), rack()),
+        cfg.clone(),
+        "127.0.0.1:0",
+    )
+    .expect("bind");
+    let connect = || {
+        let s = std::net::TcpStream::connect(handle.addr()).expect("connect");
+        s.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .expect("timeout");
+        s
+    };
+    let closed = |mut s: std::net::TcpStream| match s.read(&mut [0u8; 16]) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("expected the server to close, got {other:?}"),
+    };
+    let quiet = connect();
+    closed(connect());
+    closed(quiet);
+    let mut held = connect();
+    held.write_all(&torn).expect("write");
+    closed(held);
+    // One byte a millisecond, faster than the 2 ms poll interval, until
+    // the server cuts the connection.
+    let mut trickle = connect();
+    trickle.write_all(&trickle_header).expect("write");
+    let sent = (0..10 * cfg.idle_timeout_ms)
+        .take_while(|_| {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            trickle.write_all(&[0]).is_ok()
+        })
+        .count() as u64;
+    assert!(sent < 10 * cfg.idle_timeout_ms, "the trickle was never cut");
+    closed(trickle);
+    let mut bad = connect();
+    bad.write_all(&corrupt).expect("write");
+    closed(bad);
+    assert_eq!(handle.stats(), expect, "over the socket");
     let _ = handle.drain();
 }

@@ -21,8 +21,8 @@ use goldilocks_cluster::WriteFault;
 use goldilocks_core::ServiceConfig;
 use goldilocks_rng::SplitMix64;
 use goldilocks_service::{
-    ClientConfig, ClientError, PlacementDaemon, Request, ServiceClient, ServiceEpochRecord,
-    SimFaultConfig, SimNet, SimStats, SimTransport,
+    ClientConfig, ClientError, PlacementDaemon, Request, ServerConfig, ServiceClient,
+    ServiceEpochRecord, SimFaultConfig, SimNet, SimStats, SimTransport,
 };
 use goldilocks_topology::{DcTree, Resources};
 
@@ -580,7 +580,12 @@ pub struct TransportChaosRun {
 pub fn run_transport_chaos(tree: &DcTree, cfg: &TransportChaosConfig) -> TransportChaosRun {
     use std::collections::BTreeSet;
 
-    let net = SimNet::new(cfg.service.clone(), tree.clone(), cfg.faults);
+    let net = SimNet::new(
+        cfg.service.clone(),
+        tree.clone(),
+        ServerConfig::default(),
+        cfg.faults,
+    );
     let mut rng = SplitMix64::from_state(cfg.seed ^ 0x7A11_5B0B_17C0_DE5A);
     let mut clients: Vec<ServiceClient<SimTransport>> = (0..cfg.clients)
         .map(|i| {
@@ -629,7 +634,7 @@ pub fn run_transport_chaos(tree: &DcTree, cfg: &TransportChaosConfig) -> Transpo
             // durable medium); recovery may append roll-forward records
             // but must never rewrite history.
             let before = net.with_daemon(|d| d.wal_bytes().to_vec());
-            match net.crash_restart(None) {
+            match net.crash_restart() {
                 Ok(_) => {
                     run.crashes += 1;
                     let after = net.with_daemon(|d| d.wal_bytes().to_vec());
@@ -858,8 +863,8 @@ mod tests {
                 [384, 384, 0, 0, 0, 0, 0, 0, 53, 1, 30],
                 [45, 4, 4, 1],
                 true,
-                157_766,
-                2_932_616_013
+                13_940,
+                3_153_425_742
             )
         );
         assert_eq!(
@@ -868,8 +873,8 @@ mod tests {
                 [384, 384, 0, 0, 0, 0, 0, 0, 0, 0, 30],
                 [0, 0, 0, 0],
                 true,
-                101_882,
-                2_758_811_203
+                21_827,
+                123_544_353
             )
         );
     }

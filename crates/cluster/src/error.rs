@@ -1,15 +1,14 @@
 //! The unified error type of the cluster control plane.
 //!
-//! The crate grew one ad-hoc error enum per mechanism — lifecycle, overlay,
-//! and now the write-ahead log and recovery paths. [`ClusterError`] folds
-//! them into a single composable type with `From` impls, so controller code
-//! can use `?` across module boundaries instead of inventing yet another
-//! one-off wrapper per call site.
+//! The crate grew one ad-hoc error enum per mechanism — lifecycle, and then
+//! the write-ahead log and recovery paths. [`ClusterError`] folds them into
+//! a single composable type with `From` impls, so controller code can use
+//! `?` across module boundaries instead of inventing yet another one-off
+//! wrapper per call site.
 
 use std::fmt;
 
 use crate::lifecycle::LifecycleError;
-use crate::overlay::OverlayError;
 use crate::wal::WalError;
 
 /// Any error the cluster control plane can produce.
@@ -17,8 +16,6 @@ use crate::wal::WalError;
 pub enum ClusterError {
     /// An illegal container-lifecycle transition.
     Lifecycle(LifecycleError),
-    /// An overlay-network registry failure.
-    Overlay(OverlayError),
     /// A malformed write-ahead-log record (outside the tolerated torn
     /// tail).
     Wal(WalError),
@@ -40,7 +37,6 @@ impl fmt::Display for ClusterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClusterError::Lifecycle(e) => write!(f, "lifecycle: {e}"),
-            ClusterError::Overlay(e) => write!(f, "overlay: {e}"),
             ClusterError::Wal(e) => write!(f, "wal: {e}"),
             ClusterError::Model {
                 field,
@@ -60,12 +56,6 @@ impl From<LifecycleError> for ClusterError {
     }
 }
 
-impl From<OverlayError> for ClusterError {
-    fn from(e: OverlayError) -> Self {
-        ClusterError::Overlay(e)
-    }
-}
-
 impl From<WalError> for ClusterError {
     fn from(e: WalError) -> Self {
         ClusterError::Wal(e)
@@ -82,13 +72,13 @@ mod tests {
         fn lifecycle() -> Result<(), LifecycleError> {
             Err(LifecycleError::NotRunning(3))
         }
-        fn overlay() -> Result<(), OverlayError> {
-            Err(OverlayError::AppRangeExhausted)
+        fn wal() -> Result<(), WalError> {
+            Err(WalError::BadTag(9))
         }
         fn unified(which: u8) -> Result<(), ClusterError> {
             match which {
                 0 => lifecycle()?,
-                _ => overlay()?,
+                _ => wal()?,
             }
             Ok(())
         }
@@ -96,10 +86,7 @@ mod tests {
             unified(0),
             Err(ClusterError::Lifecycle(LifecycleError::NotRunning(3)))
         );
-        assert_eq!(
-            unified(1),
-            Err(ClusterError::Overlay(OverlayError::AppRangeExhausted))
-        );
+        assert_eq!(unified(1), Err(ClusterError::Wal(WalError::BadTag(9))));
     }
 
     #[test]

@@ -8,9 +8,6 @@
 //! - [`MigrationModel`] / [`migration_plan`]: the CRIU checkpoint/restore +
 //!   rsync pipeline — epoch-to-epoch placement diffs priced in freeze
 //!   seconds and megabytes moved.
-//! - [`IpRegistry`]: the swarm-manager overlay keeping application IPs
-//!   (10.0.0.0/16) stable across moves while location IPs
-//!   (192.168.0.0/16) follow the hosting server.
 //! - [`ContainerRuntime`] / [`Transition`]: the container lifecycle table
 //!   and the stop/migrate/start command stream that reconciles one epoch's
 //!   placement with the next — what the paper's migration controller sends.
@@ -47,7 +44,6 @@ mod error;
 mod executor;
 mod lifecycle;
 mod migration;
-mod overlay;
 mod powergate;
 mod reconcile;
 mod recovery;
@@ -60,7 +56,6 @@ pub use executor::{
 };
 pub use lifecycle::{ContainerRuntime, LifecycleError, Transition};
 pub use migration::{migration_plan, Migration, MigrationCost, MigrationModel};
-pub use overlay::{AppIp, IpRegistry, LocationIp, OverlayError};
 pub use powergate::{PowerGate, PowerState};
 pub use reconcile::{anti_entropy, RepairPlan};
 pub use recovery::{recover, OpenEpoch, Recovered};

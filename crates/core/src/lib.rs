@@ -54,4 +54,4 @@ pub use goldilocks::{Goldilocks, ProvisionDetails};
 pub use grouping::partition_into_groups;
 pub use incremental_placer::IncrementalGoldilocks;
 pub use ladder::{rung_configs, Ladder, Rung};
-pub use vcluster::{GoldilocksAsym, VirtualCluster};
+pub use vcluster::GoldilocksAsym;

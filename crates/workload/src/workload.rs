@@ -217,35 +217,27 @@ impl Workload {
         }
     }
 
-    /// Total traffic in Mbps of container `c` across all its flows — the
-    /// `B_i` bandwidth requirement of the Virtual Cluster abstraction
-    /// (Section IV-A).
-    pub fn container_bandwidth_mbps(&self, c: ContainerId) -> f64 {
-        self.flows
-            .iter()
-            .filter(|f| f.a == c || f.b == c)
-            .map(|f| f.mbps)
-            .sum()
-    }
-
-    /// The traffic matrix entry between two container sets, in Mbps.
-    pub fn traffic_between_mbps(&self, set_a: &[ContainerId], set_b: &[ContainerId]) -> f64 {
-        use std::collections::BTreeSet;
-        let a: BTreeSet<ContainerId> = set_a.iter().copied().collect();
-        let b: BTreeSet<ContainerId> = set_b.iter().copied().collect();
-        self.flows
-            .iter()
-            .filter(|f| {
-                (a.contains(&f.a) && b.contains(&f.b)) || (a.contains(&f.b) && b.contains(&f.a))
-            })
-            .map(|f| f.mbps)
-            .sum()
+    /// Total traffic in Mbps of every container across all its flows, by
+    /// container id — the `B_i` bandwidth requirements of the Virtual
+    /// Cluster abstraction (Section IV-A). One pass over `flows`: each entry
+    /// starts at `-0.0` and adds in flow order, as `Iterator::sum` over a
+    /// per-container filter would, and a self-flow counts once.
+    pub fn container_bandwidths(&self) -> Vec<f64> {
+        let mut bandwidth = vec![-0.0; self.containers.len()];
+        for f in &self.flows {
+            bandwidth[f.a.0] += f.mbps;
+            if f.b != f.a {
+                bandwidth[f.b.0] += f.mbps;
+            }
+        }
+        bandwidth
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Workload {
         let mut w = Workload::new();
@@ -298,13 +290,72 @@ mod tests {
 
     #[test]
     fn bandwidth_queries() {
-        let w = sample();
-        assert!((w.container_bandwidth_mbps(ContainerId(1)) - 7.5).abs() < 1e-9);
-        assert!((w.container_bandwidth_mbps(ContainerId(0)) - 5.0).abs() < 1e-9);
-        let t = w.traffic_between_mbps(&[ContainerId(0)], &[ContainerId(1), ContainerId(2)]);
-        assert!((t - 5.0).abs() < 1e-9);
-        let none = w.traffic_between_mbps(&[ContainerId(0)], &[ContainerId(2)]);
-        assert_eq!(none, 0.0);
+        let mut w = sample();
+        let bw = w.container_bandwidths();
+        assert!((bw[1] - 7.5).abs() < 1e-9);
+        assert!((bw[0] - 5.0).abs() < 1e-9);
+        // A flowless container, a self-flow and a repeated pair.
+        w.add_container("idle", Resources::new(1.0, 1.0, 1.0), None);
+        let (a, b) = (ContainerId(0), ContainerId(1));
+        w.flows.push(Flow {
+            a,
+            b: a,
+            flow_count: 1,
+            mbps: 0.1,
+        });
+        w.flows.push(Flow {
+            a: b,
+            b: a,
+            flow_count: 1,
+            mbps: 0.2,
+        });
+        let bw = w.container_bandwidths();
+        let expected = (0..w.len()).map(|c| filtered_bandwidth(&w, ContainerId(c)));
+        assert_eq!(bits(bw.iter().copied()), bits(expected));
+        assert_eq!(bw[3].to_bits(), (-0.0f64).to_bits(), "flowless container");
+    }
+
+    /// One container's bandwidth by a filter over every flow: the
+    /// reference `container_bandwidths` must equal bit for bit.
+    fn filtered_bandwidth(w: &Workload, c: ContainerId) -> f64 {
+        w.flows
+            .iter()
+            .filter(|f| f.a == c || f.b == c)
+            .map(|f| f.mbps)
+            .sum()
+    }
+
+    fn bits(v: impl IntoIterator<Item = f64>) -> Vec<u64> {
+        v.into_iter().map(f64::to_bits).collect()
+    }
+
+    proptest! {
+        /// One pass over the flows equals the per-container filter bit for
+        /// bit: flowless containers keep the filter's `-0.0`, a self-flow
+        /// counts once, and repeated pairs add in flow order.
+        #[test]
+        fn container_bandwidths_match_per_container_filter(
+            (n, flows) in (1usize..12).prop_flat_map(|n| (
+                Just(n),
+                proptest::collection::vec((0..n, 0..n, 0u8..4, 0.0f64..100.0), 0..n * 3),
+            )),
+        ) {
+            let mut w = Workload::new();
+            for _ in 0..n {
+                w.add_container("c", Resources::new(1.0, 1.0, 1.0), None);
+            }
+            // `add_flow` refuses self-flows, so push them as a loaded trace
+            // would; a zero-rate kind covers `0.0` contributions.
+            for (a, b, kind, mbps) in flows {
+                let mbps = if kind == 0 { 0.0 } else { mbps };
+                let (a, b) = (ContainerId(a), ContainerId(b));
+                for _ in 0..1 + usize::from(kind == 3) {
+                    w.flows.push(Flow { a, b, flow_count: 1, mbps });
+                }
+            }
+            let expected = (0..n).map(|c| filtered_bandwidth(&w, ContainerId(c)));
+            prop_assert_eq!(bits(w.container_bandwidths()), bits(expected));
+        }
     }
 
     #[test]

@@ -115,9 +115,7 @@ proptest! {
     #[test]
     fn bandwidth_double_counting_identity(n in 8usize..80, seed in 0u64..200) {
         let w = twitter_caching(n, seed);
-        let per_container: f64 = (0..w.len())
-            .map(|c| w.container_bandwidth_mbps(goldilocks_workload::ContainerId(c)))
-            .sum();
+        let per_container: f64 = w.container_bandwidths().iter().sum();
         let total_flows: f64 = w.flows.iter().map(|f| f.mbps).sum();
         prop_assert!((per_container - 2.0 * total_flows).abs() < 1e-6);
     }

@@ -22,7 +22,7 @@
 //! | [`workload`] | `goldilocks-workload` | Table II profiles, container graphs, Wikipedia/Azure/search traces |
 //! | [`placement`] | `goldilocks-placement` | `Placer` trait + E-PVM, mPP, Borg, RC-Informed baselines |
 //! | [`core`] | `goldilocks-core` | the Goldilocks algorithm (Sections III & IV) |
-//! | [`cluster`] | `goldilocks-cluster` | CRIU migration model, overlay IPs, power gating |
+//! | [`cluster`] | `goldilocks-cluster` | CRIU migration model, power gating (overlay IPs are not modelled) |
 //! | [`service`] | `goldilocks-service` | placement daemon: admission control, backpressure, WAL-backed serving |
 //! | [`sim`] | `goldilocks-sim` | flow-level simulator, scenarios for Figs. 9/10/13 |
 //!

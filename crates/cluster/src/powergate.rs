@@ -113,16 +113,6 @@ impl PowerGate {
         }
     }
 
-    /// Power multiplier of server `s`: 0 off, `boot_power_frac` booting
-    /// (as a fraction of peak), 1 for on (caller applies the load curve).
-    pub fn power_multiplier(&self, s: usize) -> f64 {
-        match self.states[s] {
-            PowerState::Off => 0.0,
-            PowerState::Booting { .. } => self.boot_power_frac,
-            PowerState::On => 1.0,
-        }
-    }
-
     /// Count of ready servers.
     pub fn ready_count(&self) -> usize {
         self.states.iter().filter(|s| **s == PowerState::On).count()
@@ -148,17 +138,6 @@ mod tests {
         assert!(!g.is_ready(0));
         g.step(&[true, true], 120);
         assert!(g.is_ready(0));
-    }
-
-    #[test]
-    fn power_multipliers() {
-        let mut g = PowerGate::all_on(3);
-        g.step(&[false, true, true], 1);
-        g.step(&[true, true, true], 1); // server 0 starts booting
-        assert_eq!(g.power_multiplier(0), g.boot_power_frac);
-        assert_eq!(g.power_multiplier(1), 1.0);
-        g.step(&[false, true, true], 1);
-        assert_eq!(g.power_multiplier(0), 0.0);
     }
 
     #[test]

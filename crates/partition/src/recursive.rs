@@ -30,7 +30,7 @@ pub struct PartitionTree {
 
 impl PartitionTree {
     /// True if this node is a leaf (a final container group).
-    pub fn is_leaf(&self) -> bool {
+    fn is_leaf(&self) -> bool {
         self.children.is_empty()
     }
 
@@ -58,16 +58,6 @@ impl PartitionTree {
         } else {
             self.children.iter().map(PartitionTree::leaf_count).sum()
         }
-    }
-
-    /// Maximum depth of the tree.
-    pub fn height(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(PartitionTree::height)
-            .max()
-            .unwrap_or(0)
     }
 
     /// Flattens the tree into a per-vertex group id following leaf order.
@@ -468,7 +458,6 @@ mod tests {
         .unwrap();
         assert!(tree.is_leaf());
         assert_eq!(tree.leaf_count(), 1);
-        assert_eq!(tree.height(), 1);
     }
 
     #[test]

@@ -73,17 +73,6 @@ impl Placement {
             .collect()
     }
 
-    /// Mean worst-dimension utilization across *active* servers (0 if none).
-    pub fn mean_active_utilization(&self, workload: &Workload, tree: &DcTree) -> f64 {
-        let utils = self.server_utilizations(workload, tree);
-        let active: Vec<f64> = utils.into_iter().filter(|u| *u > 0.0).collect();
-        if active.is_empty() {
-            0.0
-        } else {
-            active.iter().sum::<f64>() / active.len() as f64
-        }
-    }
-
     /// True when every container is assigned.
     pub fn is_complete(&self) -> bool {
         self.assignment.iter().all(Option::is_some)
@@ -197,7 +186,6 @@ mod tests {
         assert!((loads[1].cpu - 80.0).abs() < 1e-9);
         let utils = p.server_utilizations(&w, &tree);
         assert!((utils[1] - 0.8).abs() < 1e-9);
-        assert!((p.mean_active_utilization(&w, &tree) - 0.8).abs() < 1e-9);
     }
 
     #[test]

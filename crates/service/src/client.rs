@@ -186,12 +186,6 @@ impl<T: Transport> ServiceClient<T> {
         &self.stats
     }
 
-    /// The next request id this client will assign (persist it to resume a
-    /// restarted client above everything already sent).
-    pub fn next_request_id(&self) -> u64 {
-        self.next_request_id
-    }
-
     /// Admits a container; returns its durable sequence number.
     pub fn admit(
         &mut self,

@@ -562,12 +562,6 @@ impl FrameAssembler {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes received but not yet consumed as complete frames (a partial
-    /// frame in flight).
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
     /// Extracts the next complete frame payload, if one is fully buffered.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, ProtoError> {
         match decode_frame(&self.buf, self.pos) {
@@ -807,7 +801,6 @@ mod tests {
             }
         }
         assert_eq!(got, payloads);
-        assert_eq!(asm.pending_bytes(), 0);
         // Whole stream at once.
         let mut asm = FrameAssembler::new();
         asm.feed(&stream);

@@ -14,7 +14,12 @@
 //!    the fault-aware migration executor (retries, rollbacks, cold
 //!    restarts off dead servers), one logged *unit* at a time;
 //! 4. step the power gate and meter power/TCT on the placement that
-//!    *actually* materialized.
+//!    *actually* materialized;
+//! 5. commit, snapshot the committed state and compact the WAL to that
+//!    snapshot.
+//!
+//! This is the library's one epoch step: `run_policy_with`, behind every
+//! figure, is a driver run over an empty schedule.
 //!
 //! The driver is a [`ChaosDriver`] value so a run can be stopped at any
 //! epoch boundary or between migration units ("the controller process
@@ -37,21 +42,20 @@ use goldilocks_cluster::{
     LifecycleError, MigrationStats, PowerGate, Wal, WalEvent,
 };
 use goldilocks_core::{Ladder, Rung};
+use goldilocks_partition::ParallelConfig;
 use goldilocks_placement::{Placement, Placer};
 use goldilocks_rng::SplitMix64;
 use goldilocks_topology::{DcTree, NodeId, Resources, ServerId};
-use goldilocks_workload::WorkloadArena;
+use goldilocks_workload::{Flow, Workload, WorkloadArena};
 
 use super::plan::{FaultEvent, FaultSchedule};
-use crate::epoch::{epoch_workload_into, meter_epoch, Policy, Scenario};
+use crate::energy::{meter_with_utils, PowerSample};
+use crate::epoch::{epoch_workload_into, Policy, Scenario};
+use crate::metering::{mean_tct_ms_sharded, MeteringWorkspace};
 
 /// Salt xor-ed into the run seed for the migration-roll stream, keeping it
 /// decorrelated from the fault-schedule stream under the same seed.
 const ROLL_SALT: u64 = 0xD1B5_4A32_D192_ED03;
-
-/// A full [`ClusterState`] snapshot is appended after every this many
-/// committed epochs, bounding replay length on recovery.
-const SNAPSHOT_EVERY: usize = 8;
 
 /// Upper bound on anti-entropy repairs applied in one recovery round.
 const MAX_REPAIRS_PER_ROUND: usize = 64;
@@ -245,8 +249,11 @@ pub struct ChaosDriver<'a> {
     // Reusable metering and workload scratch (outside the simulated
     // controller: pure memory, carries no state the WAL would need to
     // rebuild).
-    meter_ws: crate::metering::MeteringWorkspace,
+    meter_ws: MeteringWorkspace,
     arena: WorkloadArena,
+    /// The metering engine's thread budget and chunk size; never changes
+    /// an output bit. Sequential unless `run_policy_with` passes its own.
+    pub(crate) metering: ParallelConfig,
 }
 
 impl<'a> ChaosDriver<'a> {
@@ -290,8 +297,9 @@ impl<'a> ChaosDriver<'a> {
             recoveries: 0,
             recovered_flag: false,
             halted: false,
-            meter_ws: crate::metering::MeteringWorkspace::new(),
+            meter_ws: MeteringWorkspace::new(),
             arena: WorkloadArena::new(),
+            metering: ParallelConfig::sequential(),
         }
     }
 
@@ -373,13 +381,16 @@ impl<'a> ChaosDriver<'a> {
         if rec.open.is_none() {
             // At a boundary, re-anchor the log with a snapshot of the
             // recovered (and possibly repaired) state.
-            d.wal.append(&WalEvent::Snapshot(ClusterState::capture(
-                rec.state.committed_epoch,
-                &rec.state.intended,
-                &d.runtime,
-                Some(d.gate.states()),
-                Some(d.rolls.state()),
-            )));
+            anchor(
+                &mut d.wal,
+                ClusterState::capture(
+                    rec.state.committed_epoch,
+                    &rec.state.intended,
+                    &d.runtime,
+                    Some(d.gate.states()),
+                    Some(d.rolls.state()),
+                ),
+            );
         }
 
         if let Some(open) = rec.open {
@@ -554,7 +565,7 @@ impl<'a> ChaosDriver<'a> {
             &effective,
             &self.tree,
             &mut self.gate,
-            &goldilocks_partition::ParallelConfig::sequential(),
+            &self.metering,
             &mut self.meter_ws,
         );
         self.wal.append(&WalEvent::EpochCommit {
@@ -562,15 +573,19 @@ impl<'a> ChaosDriver<'a> {
             rng_state: self.rolls.state(),
             gate: self.gate.states().to_vec(),
         });
-        if (e + 1).is_multiple_of(SNAPSHOT_EVERY) {
-            self.wal.append(&WalEvent::Snapshot(ClusterState::capture(
+        // Every commit is snapshotted and the log compacted to it, so the
+        // WAL holds one snapshot plus the open epoch's records (at k=28,
+        // ~1.2 MB plus up to ~3.3 MB) in every run, figures included.
+        anchor(
+            &mut self.wal,
+            ClusterState::capture(
                 Some(e as u64),
                 &target,
                 &self.runtime,
                 Some(self.gate.states()),
                 Some(self.rolls.state()),
-            )));
-        }
+            ),
+        );
 
         let served = effective.assignment.iter().filter(|a| a.is_some()).count();
         self.records.push(ChaosEpochRecord {
@@ -747,13 +762,16 @@ impl<'a> ChaosDriver<'a> {
         self.anti_entropy_round(&rec.state)?;
         // Crashes land at epoch starts, so the WAL has no open epoch and a
         // re-anchoring snapshot is always legal here.
-        self.wal.append(&WalEvent::Snapshot(ClusterState::capture(
-            rec.state.committed_epoch,
-            &rec.state.intended,
-            &self.runtime,
-            Some(self.gate.states()),
-            Some(self.rolls.state()),
-        )));
+        anchor(
+            &mut self.wal,
+            ClusterState::capture(
+                rec.state.committed_epoch,
+                &rec.state.intended,
+                &self.runtime,
+                Some(self.gate.states()),
+                Some(self.rolls.state()),
+            ),
+        );
         self.recoveries += 1;
         self.recovered_flag = true;
         Ok(())
@@ -800,6 +818,98 @@ pub fn run_chaos(
     let mut driver = ChaosDriver::new(scenario, policy, schedule, seed);
     driver.run_remaining()?;
     Ok(driver.finish())
+}
+
+/// Appends `snapshot` to `wal` and compacts the log to it. Recovery replays
+/// from the last snapshot only, so every byte before it is dead.
+fn anchor(wal: &mut Wal, snapshot: ClusterState) {
+    let at = wal.len_bytes();
+    wal.append(&WalEvent::Snapshot(snapshot));
+    wal.drop_prefix(at);
+}
+
+/// Power, latency and utilization of one epoch under one placement.
+struct EpochMetrics {
+    sample: PowerSample,
+    /// Boot-energy surcharge for servers powered on this epoch, W.
+    boot_watts: f64,
+    tct_ms: f64,
+    mean_cpu_util: f64,
+}
+
+/// The tail of an epoch step, after the placement has materialized:
+/// advances the IPMI power `gate` toward the placement's active set, then
+/// meters the placement against the given tree (the driver's working copy,
+/// which differs from `scenario.tree` once faults have been applied).
+///
+/// Servers boot in `boot_seconds` drawing `boot_power_frac` of peak, so
+/// policies that flap their active set pay a boot surcharge, amortized over
+/// the epoch. Per-server CPU utilizations are computed once and shared
+/// between power and latency metering; the TCT pass runs through the
+/// sharded metering engine (`parallel` sets its thread budget and chunk
+/// size, `ws` carries the reusable scratch — alloc-free when warm).
+fn meter_epoch(
+    scenario: &Scenario,
+    w: &Workload,
+    placement: &Placement,
+    tree: &DcTree,
+    gate: &mut PowerGate,
+    parallel: &ParallelConfig,
+    ws: &mut MeteringWorkspace,
+) -> EpochMetrics {
+    let active = placement.active_servers();
+    let desired: Vec<bool> = (0..gate.len())
+        .map(|sid| active.contains(&ServerId(sid)))
+        .collect();
+    let booting_before: Vec<bool> = (0..gate.len()).map(|sid| !gate.is_ready(sid)).collect();
+    gate.step(&desired, scenario.epoch_seconds as u32);
+    let boot_frac = (gate.boot_seconds as f64 / scenario.epoch_seconds).min(1.0);
+    let boot_watts: f64 = desired
+        .iter()
+        .zip(&booting_before)
+        .filter(|(on, booting)| **on && **booting)
+        .map(|_| scenario.power.server.peak_watts * gate.boot_power_frac * boot_frac)
+        .sum();
+
+    let cpu_utils = placement.server_cpu_utilizations(w, tree);
+    let sample = meter_with_utils(placement, tree, &scenario.power, &cpu_utils);
+    let tct_ms = match &scenario.tct_app_prefix {
+        Some(prefix) => mean_tct_ms_sharded(
+            &scenario.latency,
+            w,
+            placement,
+            tree,
+            &cpu_utils,
+            |f: &Flow| {
+                w.containers[f.a.0].app.starts_with(prefix.as_str())
+                    || w.containers[f.b.0].app.starts_with(prefix.as_str())
+            },
+            parallel,
+            ws,
+        ),
+        None => mean_tct_ms_sharded(
+            &scenario.latency,
+            w,
+            placement,
+            tree,
+            &cpu_utils,
+            |_: &Flow| true,
+            parallel,
+            ws,
+        ),
+    };
+    let active_utils: Vec<f64> = cpu_utils.iter().copied().filter(|u| *u > 0.0).collect();
+    let mean_cpu_util = if active_utils.is_empty() {
+        0.0
+    } else {
+        active_utils.iter().sum::<f64>() / active_utils.len() as f64
+    };
+    EpochMetrics {
+        sample,
+        boot_watts,
+        tct_ms,
+        mean_cpu_util,
+    }
 }
 
 fn summarize(
@@ -1018,9 +1128,13 @@ mod tests {
         assert_eq!(watts_a, watts_b);
     }
 
+    /// Every commit compacts the WAL, so each crash point below resumes
+    /// from a compacted log (epoch 0's mid-epoch crash excepted).
+    const COMPACTING_EPOCHS: usize = 18;
+
     #[test]
     fn boundary_crash_resume_matches_uninterrupted_run() {
-        let s = wiki_testbed(10, 48, 10);
+        let s = wiki_testbed(COMPACTING_EPOCHS, 48, 10);
         let policy = Policy::Goldilocks(GoldilocksConfig::paper());
         let plan = FaultPlan {
             config: FaultPlanConfig {
@@ -1029,14 +1143,14 @@ mod tests {
             },
             seed: 31,
         };
-        let schedule = plan.schedule(10, &s.tree);
+        let schedule = plan.schedule(COMPACTING_EPOCHS, &s.tree);
         let n = s.base.containers.len();
 
         let mut base = ChaosDriver::new(&s, &policy, &schedule, 31);
         base.run_remaining().unwrap();
         let reference = base.assignment(n);
 
-        for boundary in [1usize, 4, 7] {
+        for boundary in [1usize, 4, 9, 17] {
             let mut first = ChaosDriver::new(&s, &policy, &schedule, 31);
             first.run_to(boundary).unwrap();
             let wal = first.wal_bytes().to_vec();
@@ -1058,18 +1172,18 @@ mod tests {
 
     #[test]
     fn mid_epoch_crash_resume_matches_uninterrupted_run() {
-        let mut s = wiki_testbed(9, 48, 11);
+        let mut s = wiki_testbed(COMPACTING_EPOCHS, 48, 11);
         // Force migration churn so epochs actually have units to crash in.
         s.migration.failure_prob = 0.3;
         let policy = Policy::Goldilocks(GoldilocksConfig::paper());
-        let schedule = FaultSchedule::empty(9);
+        let schedule = FaultSchedule::empty(COMPACTING_EPOCHS);
         let n = s.base.containers.len();
 
         let mut base = ChaosDriver::new(&s, &policy, &schedule, 77);
         base.run_remaining().unwrap();
         let reference = base.assignment(n);
 
-        for (epoch, units) in [(0usize, 3usize), (3, 1), (6, 5)] {
+        for (epoch, units) in [(0usize, 3usize), (3, 1), (9, 5), (16, 2)] {
             let mut first = ChaosDriver::new(&s, &policy, &schedule, 77);
             first.run_to(epoch).unwrap();
             let completed = first.step_epoch(Some(units)).unwrap();
@@ -1089,6 +1203,40 @@ mod tests {
                 "mid-epoch resume at epoch {epoch} after {units} units"
             );
         }
+    }
+
+    #[test]
+    fn wal_holds_the_last_snapshot_and_the_open_epoch() {
+        let epochs = 20;
+        let mut s = wiki_testbed(epochs, 48, 11);
+        // The last epoch stops 8 containers, so it has units to crash in.
+        s.epochs[epochs - 1].container_count = 40;
+        let policy = Policy::Goldilocks(GoldilocksConfig::paper());
+        let schedule = FaultSchedule::empty(epochs);
+        let snapshot_of = |bytes: &[u8]| match Wal::decode(bytes).events.first() {
+            Some(WalEvent::Snapshot(state)) => state.committed_epoch,
+            other => panic!("the log must open with a snapshot, not {other:?}"),
+        };
+
+        // A crash inside the last epoch: the log is the previous commit's
+        // snapshot, then only the open epoch's records.
+        let mut d = ChaosDriver::new(&s, &policy, &schedule, 77);
+        d.run_to(epochs - 1).unwrap();
+        assert!(!d.step_epoch(Some(0)).unwrap(), "the epoch must stay open");
+        assert_eq!(snapshot_of(d.wal_bytes()), Some(epochs as u64 - 2));
+        let log = Wal::decode(d.wal_bytes());
+        assert!(!log.torn_tail);
+        assert!(matches!(
+            log.events[1],
+            WalEvent::EpochBegin { epoch, .. } if epoch == epochs as u64 - 1
+        ));
+        assert_eq!(log.events.len(), 3, "snapshot, begin, decision");
+
+        // A finished run's log is its last commit's snapshot alone.
+        let mut d = ChaosDriver::new(&s, &policy, &schedule, 77);
+        d.run_remaining().unwrap();
+        assert_eq!(snapshot_of(d.wal_bytes()), Some(epochs as u64 - 1));
+        assert_eq!(Wal::decode(d.wal_bytes()).events.len(), 1);
     }
 
     #[test]

@@ -2,19 +2,19 @@
 //! the paper's four metrics per epoch (active servers, power, TCT,
 //! energy/request) plus migration costs.
 
-use goldilocks_cluster::{migration_plan, MigrationModel, PowerGate};
+use goldilocks_cluster::MigrationModel;
 use goldilocks_core::{
     rung_configs, Goldilocks, GoldilocksAsym, GoldilocksConfig, IncrementalGoldilocks, Ladder, Rung,
 };
 use goldilocks_partition::ParallelConfig;
-use goldilocks_placement::{Borg, EPvm, Mpp, PlaceError, Placement, Placer, RcInformed};
-use goldilocks_topology::{DcTree, ServerId};
+use goldilocks_placement::{Borg, EPvm, Mpp, PlaceError, Placer, RcInformed};
+use goldilocks_topology::DcTree;
 use goldilocks_workload::traces::Trace;
 use goldilocks_workload::{CorrelatedLoadStream, Workload, WorkloadArena};
 
-use crate::energy::{meter_with_utils, PowerConfig};
+use crate::chaos::{ChaosDriver, ChaosEpochRecord, FaultSchedule};
+use crate::energy::PowerConfig;
 use crate::latency::LatencyModel;
-use crate::metering::{mean_tct_ms_sharded, MeteringWorkspace};
 
 /// The policies evaluated in Section VI.
 #[derive(Clone, Debug)]
@@ -275,173 +275,85 @@ pub fn epoch_workload_into<'a>(
     w
 }
 
-/// Power, latency and utilization of one epoch under one placement.
-pub(crate) struct EpochMetrics {
-    pub(crate) sample: crate::energy::PowerSample,
-    /// Boot-energy surcharge for servers powered on this epoch, W.
-    pub(crate) boot_watts: f64,
-    pub(crate) tct_ms: f64,
-    pub(crate) mean_cpu_util: f64,
-}
-
-/// The shared tail of an epoch step, after the ladder has placed it:
-/// advances the IPMI power `gate` toward the placement's active set, then
-/// meters the placement against the given tree (which may differ from
-/// `scenario.tree` when faults have been applied to a working copy).
+/// Runs one policy across every epoch of `scenario`: a [`ChaosDriver`] run
+/// over an empty [`FaultSchedule`], each [`ChaosEpochRecord`] projected to an
+/// [`EpochRecord`]. `parallel` sets the metering engine's thread budget and
+/// chunk size; partitioner parallelism rides in the policy's own config (see
+/// [`Policy::with_parallel`]). Because per-chunk partials combine in fixed
+/// chunk order, `parallel` never changes a single output bit, and
+/// [`ParallelConfig::sequential`] is the reference path, on the calling
+/// thread.
 ///
-/// Servers boot in `boot_seconds` drawing `boot_power_frac` of peak, so
-/// policies that flap their active set pay a boot surcharge, amortized over
-/// the epoch. Per-server CPU utilizations are computed once and shared
-/// between power and latency metering; the TCT pass runs through the
-/// sharded metering engine (`parallel` sets its thread budget and chunk
-/// size, `ws` carries the reusable scratch — alloc-free when warm).
-pub(crate) fn meter_epoch(
-    scenario: &Scenario,
-    w: &Workload,
-    placement: &Placement,
-    tree: &DcTree,
-    gate: &mut PowerGate,
-    parallel: &ParallelConfig,
-    ws: &mut MeteringWorkspace,
-) -> EpochMetrics {
-    let active = placement.active_servers();
-    let desired: Vec<bool> = (0..gate.len())
-        .map(|sid| active.contains(&ServerId(sid)))
-        .collect();
-    let booting_before: Vec<bool> = (0..gate.len()).map(|sid| !gate.is_ready(sid)).collect();
-    gate.step(&desired, scenario.epoch_seconds as u32);
-    let boot_frac = (gate.boot_seconds as f64 / scenario.epoch_seconds).min(1.0);
-    let boot_watts: f64 = desired
-        .iter()
-        .zip(&booting_before)
-        .filter(|(on, booting)| **on && **booting)
-        .map(|_| scenario.power.server.peak_watts * gate.boot_power_frac * boot_frac)
-        .sum();
-
-    let cpu_utils = placement.server_cpu_utilizations(w, tree);
-    let sample = meter_with_utils(placement, tree, &scenario.power, &cpu_utils);
-    let tct_ms = match &scenario.tct_app_prefix {
-        Some(prefix) => mean_tct_ms_sharded(
-            &scenario.latency,
-            w,
-            placement,
-            tree,
-            &cpu_utils,
-            |f: &goldilocks_workload::Flow| {
-                w.containers[f.a.0].app.starts_with(prefix.as_str())
-                    || w.containers[f.b.0].app.starts_with(prefix.as_str())
-            },
-            parallel,
-            ws,
-        ),
-        None => mean_tct_ms_sharded(
-            &scenario.latency,
-            w,
-            placement,
-            tree,
-            &cpu_utils,
-            |_: &goldilocks_workload::Flow| true,
-            parallel,
-            ws,
-        ),
-    };
-    let active_utils: Vec<f64> = cpu_utils.iter().copied().filter(|u| *u > 0.0).collect();
-    let mean_cpu_util = if active_utils.is_empty() {
-        0.0
-    } else {
-        active_utils.iter().sum::<f64>() / active_utils.len() as f64
-    };
-    EpochMetrics {
-        sample,
-        boot_watts,
-        tct_ms,
-        mean_cpu_util,
-    }
-}
-
-/// Runs one policy across every epoch of `scenario` with the given
-/// parallelism for the metering engine. Partitioner parallelism rides in the
-/// policy's own config (see [`Policy::with_parallel`]); this knob only sets
-/// the metering thread budget and chunk size, and — because per-chunk
-/// partials combine in fixed chunk order — never changes a single output
-/// bit. One [`MeteringWorkspace`] is reused across all epochs, so warm
-/// epochs meter without heap allocation. [`ParallelConfig::sequential`]
-/// is the reference path, on the calling thread.
+/// Migrations are executed, not estimated: `migrations` counts the
+/// migrations the executor attempted and `freeze_seconds` the freeze it
+/// paid, and the epoch is metered on the placement that materialized. With
+/// the default [`MigrationModel`] every migration lands, so that is the
+/// planned placement; with a `failure_prob > 0` or a finite `timeout_s`,
+/// abandoned migrations stay on their source and the records meter that.
+/// The migration-failure rolls are seeded with 0, as `run_chaos(.., 0)`.
 ///
 /// # Errors
 ///
 /// Returns [`PlaceError::Infeasible`] naming the rung when even the relaxed
-/// rung of the policy's [`Ladder`] cannot host an epoch's workload — an
-/// epoch run leaves no container unplaced.
+/// rung of the policy's ladder cannot host an epoch's workload — an epoch
+/// run leaves no container unplaced.
 pub fn run_policy_with(
     scenario: &Scenario,
     policy: &Policy,
     parallel: &ParallelConfig,
 ) -> Result<PolicyRun, PlaceError> {
-    let mut ws = MeteringWorkspace::new();
-    let mut records = Vec::with_capacity(scenario.epochs.len());
-    let mut prev: Option<Placement> = None;
-    let mut ladder = policy.ladder(scenario);
-    let mut gate = PowerGate::all_on(scenario.tree.server_count());
-    // Epoch workloads materialize into one reused arena: steady-state
-    // epochs refill it without allocating, and the stateful Goldilocks
-    // graph caches see byte-identical inputs to the allocating path.
-    let mut arena = WorkloadArena::new();
-    for e in 0..scenario.epochs.len() {
-        let w = epoch_workload_into(scenario, e, &mut arena);
-        let (placement, rung, _) = ladder.place(w, &scenario.tree);
-        if matches!(rung, Rung::Spill | Rung::Shed) {
-            return Err(PlaceError::Infeasible {
-                reason: format!(
-                    "{} epoch {e}: even the relaxed rung failed (ladder fell to {})",
-                    policy.name(),
-                    rung.name()
-                ),
-            });
-        }
-        let metrics = meter_epoch(
-            scenario,
-            w,
-            &placement,
-            &scenario.tree,
-            &mut gate,
-            parallel,
-            &mut ws,
-        );
-        let (sample, tct) = (metrics.sample, metrics.tct_ms);
-
-        let (migrations, freeze) = match &prev {
-            Some(old) => {
-                let plan = migration_plan(old, &placement);
-                let cost = scenario.migration.plan_cost(&plan, w);
-                (cost.count, cost.total_freeze_s)
-            }
-            None => (0, 0.0),
-        };
-
-        let spec = &scenario.epochs[e];
-        records.push(EpochRecord {
-            epoch: e,
-            active_servers: sample.active_servers,
-            server_watts: sample.server_watts,
-            switch_watts: sample.switch_watts,
-            boot_watts: metrics.boot_watts,
-            tct_ms: tct,
-            energy_per_request_j: if spec.rps > 0.0 {
-                sample.total_watts() * (tct / 1000.0) / CLIENT_CONCURRENCY
-            } else {
-                0.0
-            },
-            migrations,
-            freeze_seconds: freeze,
-            mean_cpu_util: metrics.mean_cpu_util,
-            fallback: rung != Rung::Primary,
-        });
-        prev = Some(placement);
-    }
+    let schedule = FaultSchedule::empty(scenario.epochs.len());
+    let mut driver = ChaosDriver::new(scenario, policy, &schedule, 0);
+    driver.metering = parallel.clone();
+    driver.run_remaining().map_err(|e| PlaceError::Infeasible {
+        reason: format!("{}: {e}", policy.name()),
+    })?;
+    let records = driver
+        .finish()
+        .records
+        .iter()
+        .map(|r| epoch_record(scenario, policy, r))
+        .collect::<Result<_, _>>()?;
     Ok(PolicyRun {
         policy: policy.name().to_string(),
         records,
+    })
+}
+
+/// Projects a fault-free driver record onto the paper's metrics, or the
+/// [`PlaceError::Infeasible`] of an epoch that fell to the spill or shed
+/// rung.
+fn epoch_record(
+    scenario: &Scenario,
+    policy: &Policy,
+    r: &ChaosEpochRecord,
+) -> Result<EpochRecord, PlaceError> {
+    let e = r.epoch;
+    if matches!(r.fallback, Rung::Spill | Rung::Shed) {
+        return Err(PlaceError::Infeasible {
+            reason: format!(
+                "{} epoch {e}: even the relaxed rung failed (ladder fell to {})",
+                policy.name(),
+                r.fallback.name()
+            ),
+        });
+    }
+    Ok(EpochRecord {
+        epoch: e,
+        active_servers: r.active_servers,
+        server_watts: r.server_watts,
+        switch_watts: r.switch_watts,
+        boot_watts: r.boot_watts,
+        tct_ms: r.tct_ms,
+        energy_per_request_j: if scenario.epochs[e].rps > 0.0 {
+            (r.server_watts + r.switch_watts) * (r.tct_ms / 1000.0) / CLIENT_CONCURRENCY
+        } else {
+            0.0
+        },
+        migrations: r.migration.attempted,
+        freeze_seconds: r.migration.total_freeze_s,
+        mean_cpu_util: r.mean_cpu_util,
+        fallback: r.fallback != Rung::Primary,
     })
 }
 

@@ -99,12 +99,6 @@ impl MeteringWorkspace {
         MeteringWorkspace::default()
     }
 
-    /// The combined link load (Mbps) crossing `node`'s uplink, as of the
-    /// most recent metering call. Nodes no flow crossed read 0.
-    pub fn link_load(&self, node: NodeId) -> f64 {
-        self.loads.get(node.0).copied().unwrap_or(0.0)
-    }
-
     /// The combined dense link-load array of the most recent metering call,
     /// indexed by `NodeId`.
     pub fn link_loads_dense(&self) -> &[f64] {
@@ -469,7 +463,7 @@ fn fill_chunk_loads(
 /// Mean task completion time in ms over the flows selected by `filter`
 /// (e.g. only Twitter-query flows), weighted by each flow's distinct-flow
 /// count, leaving the combined dense link loads in `ws` (see
-/// [`MeteringWorkspace::link_load`]). Returns 0 when no flow matches.
+/// [`MeteringWorkspace::link_loads_dense`]). Returns 0 when no flow matches.
 ///
 /// The model per flow: service happens at the busier endpoint (the
 /// bottleneck), `service = base / (1 − ρ)` with ρ clamped at

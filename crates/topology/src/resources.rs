@@ -92,22 +92,6 @@ impl Resources {
     pub fn as_array(&self) -> [f64; 3] {
         [self.cpu, self.memory_gb, self.network_mbps]
     }
-
-    /// Builds from the 3-component array ⟨cpu, memory, network⟩.
-    pub fn from_array(a: [f64; 3]) -> Self {
-        let [cpu, memory_gb, network_mbps] = a;
-        Resources::new(cpu, memory_gb, network_mbps)
-    }
-
-    /// Clamps all components at zero from below (guards float drift after
-    /// repeated add/sub cycles).
-    pub fn clamped_non_negative(&self) -> Resources {
-        Resources {
-            cpu: self.cpu.max(0.0),
-            memory_gb: self.memory_gb.max(0.0),
-            network_mbps: self.network_mbps.max(0.0),
-        }
-    }
 }
 
 impl Add for Resources {
@@ -209,7 +193,8 @@ mod tests {
     #[test]
     fn array_roundtrip() {
         let r = Resources::new(1.0, 2.0, 3.0);
-        assert_eq!(Resources::from_array(r.as_array()), r);
+        let [cpu, memory_gb, network_mbps] = r.as_array();
+        assert_eq!(Resources::new(cpu, memory_gb, network_mbps), r);
     }
 
     #[test]
@@ -217,15 +202,6 @@ mod tests {
         let total: Resources = (0..4).map(|_| Resources::new(1.0, 2.0, 3.0)).sum();
         assert_eq!(total, Resources::new(4.0, 8.0, 12.0));
         assert_eq!(total.scaled(0.5), Resources::new(2.0, 4.0, 6.0));
-    }
-
-    #[test]
-    fn clamp_negative_drift() {
-        let r = Resources::new(-1e-15, 1.0, -0.5);
-        let c = r.clamped_non_negative();
-        assert_eq!(c.cpu, 0.0);
-        assert_eq!(c.memory_gb, 1.0);
-        assert_eq!(c.network_mbps, 0.0);
     }
 
     #[test]

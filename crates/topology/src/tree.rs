@@ -391,17 +391,6 @@ impl DcTree {
         }
         active
     }
-
-    /// The parent chain from `node` up to (and including) the root.
-    pub fn ancestors(&self, node: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut cur = self.nodes[node.0].parent;
-        while let Some(p) = cur {
-            out.push(p);
-            cur = self.nodes[p.0].parent;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -509,16 +498,6 @@ mod tests {
         assert!(few >= 3, "{few}");
         let none = t.active_switch_count(&[false; 16]);
         assert_eq!(none, 0);
-    }
-
-    #[test]
-    fn ancestors_walk_to_root() {
-        let t = fat_tree(4, Resources::testbed_server(), 1000.0);
-        let s0 = t.servers_in_dfs_order()[0];
-        let node = t.server(s0).node;
-        let anc = t.ancestors(node);
-        assert_eq!(anc.len(), 3, "server → rack → pod → root");
-        assert_eq!(*anc.last().unwrap(), t.root());
     }
 
     #[test]
